@@ -33,7 +33,7 @@ DEFAULT_INTENSITY_FLOOR = 1.0 / 255.0
 
 
 class NonFiniteGradientError(ArithmeticError):
-    """The model produced a NaN/Inf gradient during the attack."""
+    """The model produced a NaN/Inf objective or gradient during the attack."""
 
 
 @dataclass(frozen=True)
@@ -89,10 +89,16 @@ class BudgetBox:
 
 @dataclass(frozen=True)
 class AttackResult:
+    """The final perturbation and attacked image, the objective per
+    iteration, and the model outputs on the clean image (the anchor) and on
+    the attacked image, so callers need no further forward pass."""
+
     perturbation: Perturbation
     attacked_image: Image
     objective_trace: list[float]
     config: AttackConfig
+    clean_output: Image
+    attacked_output: Image
 
 
 def effective_intensity(image: Image, floor: float) -> np.ndarray:
@@ -155,8 +161,9 @@ def pgd_attack(model: DiffModel, image: Image, config: AttackConfig,
     """Run the projected sign-gradient attack.
 
     The clean output anchor f(I) is computed once and held fixed. Each
-    iteration evaluates the objective at the current delta (recorded in the
-    trace), takes an ascent step of sign(gradient) scaled by the step size,
+    iteration runs one model pass (``vjp``) at the current delta, evaluates
+    the objective (recorded in the trace), pulls its gradient back to the
+    input, takes an ascent step of sign(gradient) scaled by the step size,
     and projects back onto the budget box. sign(0) = 0, so coordinates with
     exactly zero gradient do not move. `on_iteration`, when given, is called
     with (iteration, delta) after every projection; test harnesses use it to
@@ -173,10 +180,14 @@ def pgd_attack(model: DiffModel, image: Image, config: AttackConfig,
     trace: list[float] = []
     for t in range(config.iterations):
         attacked = Image(np.clip(image.data + delta, 0.0, 1.0))
-        out = model.forward(attacked)
+        out, pullback = model.vjp(attacked)
         value, cotangent = attack_objective(anchor, out)
+        if not np.isfinite(value):
+            raise NonFiniteGradientError(
+                f"non-finite objective at iteration {t} of {config.mode} "
+                f"attack (eps={config.epsilon:g})")
         trace.append(value)
-        grad = model.input_grad(attacked, cotangent)
+        grad = pullback(cotangent)
         if not np.all(np.isfinite(grad)):
             raise NonFiniteGradientError(
                 f"non-finite gradient at iteration {t} of {config.mode} "
@@ -185,11 +196,14 @@ def pgd_attack(model: DiffModel, image: Image, config: AttackConfig,
         if on_iteration is not None:
             on_iteration(t, delta)
 
+    attacked = Image(np.clip(image.data + delta, 0.0, 1.0))
     return AttackResult(
         perturbation=Perturbation(delta),
-        attacked_image=Image(np.clip(image.data + delta, 0.0, 1.0)),
+        attacked_image=attacked,
         objective_trace=trace,
         config=config,
+        clean_output=anchor,
+        attacked_output=model.forward(attacked),
     )
 
 

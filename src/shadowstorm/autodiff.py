@@ -50,7 +50,7 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 
 class Tensor:
     __slots__ = ("data", "requires_grad", "grad", "_parents", "_backward",
-                 "_backward_done")
+                 "_backward_done", "__weakref__")
 
     def __init__(self, data, requires_grad: bool = False, _parents=(),
                  _backward: Callable[[], None] | None = None):
@@ -73,13 +73,17 @@ class Tensor:
             self.grad = np.zeros_like(self.data)
         self.grad += g
 
-    def backward(self, seed: np.ndarray | None = None) -> None:
+    def backward(self, seed: np.ndarray | None = None,
+                 release: bool = False) -> None:
         """Backpropagate from this tensor.
 
         Without `seed` this tensor must be scalar (the loss) and is seeded
         with 1.0. With `seed` (an array matching this tensor's shape) the
         call computes the corresponding vector-Jacobian product instead.
         A tape can only be walked once; build a fresh graph to re-derive.
+        With `release` every walked node drops its backward closure and
+        parents afterwards; each closure refers to its own node, so without
+        that the tape lives until the next cyclic garbage collection.
         """
         if self._backward_done:
             raise RuntimeError("backward called twice on the same tape; "
@@ -123,6 +127,9 @@ class Tensor:
         for node in topo:
             if node.requires_grad and node.grad is None:
                 node.grad = np.zeros_like(node.data)
+            if release:
+                node._backward = None
+                node._parents = ()
 
     # operator sugar over the module-level primitives
     def __add__(self, other):

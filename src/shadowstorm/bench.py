@@ -113,10 +113,9 @@ def evaluate_cell(model: DiffModel, image_id: str, triplet: Triplet,
                           seed=cell_seed(seed, image_id, mode, epsilon_nominal),
                           intensity_floor=floor)
     result = pgd_attack(model, triplet.shadow, config)
-    out_clean = model.forward(triplet.shadow)
-    out_attacked = model.forward(result.attacked_image)
+    out_attacked = result.attacked_output
     gt = region_metrics(triplet.shadow_free, out_attacked, triplet.mask)
-    clean = region_metrics(out_clean, out_attacked, triplet.mask)
+    clean = region_metrics(result.clean_output, out_attacked, triplet.mask)
     norms = perturbation_norms(result.perturbation, triplet.shadow, floor)
     elapsed_ms = (time.perf_counter() - started) * 1000.0 if timing else 0.0
     return ResultRow(image_id, mode, epsilon_nominal, epsilon,

@@ -114,8 +114,7 @@ def cmd_attack(args) -> int:
                                                    args.floor)
     norm_stretch = _write_stretched(norm_map, f"{prefix}_normmap.{ext}")
 
-    out_clean = model.forward(image)
-    out_attacked = model.forward(result.attacked_image)
+    out_attacked = result.attacked_output
     norms = metrics.perturbation_norms(result.perturbation, image, args.floor)
     nan = float("nan")
 
@@ -128,7 +127,7 @@ def cmd_attack(args) -> int:
         return bench.region_metrics(reference, out_attacked, mask)
 
     gt = paired_metrics(free)
-    clean = paired_metrics(out_clean)
+    clean = paired_metrics(result.clean_output)
     image_id = os.path.splitext(os.path.basename(args.image))[0]
     row = bench.ResultRow(image_id, args.mode, args.eps, config.epsilon,
                           *gt, *clean, norms.l1_mean, norms.linf,
@@ -143,6 +142,9 @@ def cmd_attack(args) -> int:
 
 
 def cmd_bench(args) -> int:
+    for flag, value in (("--iters", args.iters), ("--jobs", args.jobs)):
+        if value < 1:
+            raise UsageError(f"{flag} must be >= 1, got {value}")
     triplets = load_triplet_dir(args.dataset)
     model = load_model(args.model)
     budgets = [parse_budget(b) for b in args.budgets.split(",")]

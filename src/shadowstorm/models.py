@@ -3,16 +3,21 @@
 Every model exposes exactly two capabilities consumed by the attacks:
 
   * ``forward(image) -> Image``: deterministic, output clamped to [0, 1];
-  * ``input_grad(image, cotangent) -> ndarray``: the vector-Jacobian
-    product of the forward map with an upstream cotangent array.
+  * ``vjp(image) -> (Image, pullback)``: the same clamped output from one
+    forward pass, plus ``pullback(cotangent) -> ndarray``, the
+    vector-Jacobian product of the forward map with an upstream cotangent
+    array. A pullback runs once.
 
 Anything implementing that pair can be attacked; the bundled zoo holds an
 identity map (analytic test target), an illumination gain-map corrector,
-and a tiny residual CNN with a toy full-batch trainer.
+and a tiny residual CNN with a toy full-batch trainer. Zoo parameters rest
+with ``requires_grad=False``, so attacks differentiate the input only;
+:func:`train_toy` turns parameter gradients on for its own run.
 """
 
 from __future__ import annotations
 
+import functools
 import logging
 import struct
 from typing import Callable, Mapping, Protocol, Sequence
@@ -41,7 +46,8 @@ class DiffModel(Protocol):
 
     def forward(self, image: Image) -> Image: ...
 
-    def input_grad(self, image: Image, cotangent: np.ndarray) -> np.ndarray: ...
+    def vjp(self, image: Image
+            ) -> tuple[Image, Callable[[np.ndarray], np.ndarray]]: ...
 
 
 class TapeModel:
@@ -60,13 +66,22 @@ class TapeModel:
         out = self.forward_t(Tensor(image.data))
         return Image(np.clip(out.data, 0.0, 1.0))
 
-    def input_grad(self, image: Image, cotangent: np.ndarray) -> np.ndarray:
-        leaf = Tensor(np.array(image.data), requires_grad=True)
+    def vjp(self, image: Image
+            ) -> tuple[Image, Callable[[np.ndarray], np.ndarray]]:
+        leaf = Tensor(image.data, requires_grad=True)
         out = self.forward_t(leaf)
-        out.backward(np.asarray(cotangent, dtype=np.float64))
-        if leaf.grad is None:
-            return np.zeros_like(leaf.data)
-        return leaf.grad
+
+        def pullback(cotangent: np.ndarray) -> np.ndarray:
+            # free the tape now, not at the next cyclic garbage collection
+            out.backward(cotangent, release=True)
+            if leaf.grad is None:
+                return np.zeros_like(leaf.data)
+            return leaf.grad
+        return Image(np.clip(out.data, 0.0, 1.0)), pullback
+
+    # Kept only as a delegate to vjp: the benchmark tracer binds this name.
+    def input_grad(self, image: Image, cotangent: np.ndarray) -> np.ndarray:
+        return self.vjp(image)[1](cotangent)
 
     def zero_grad(self) -> None:
         for p in self.params.values():
@@ -82,11 +97,16 @@ class IdentityModel(TapeModel):
     def forward_t(self, x: Tensor) -> Tensor:
         return x
 
-    def forward(self, image: Image) -> Image:
-        return image
 
-    def input_grad(self, image: Image, cotangent: np.ndarray) -> np.ndarray:
-        return np.array(cotangent, dtype=np.float64)
+@functools.lru_cache(maxsize=16)
+def _border_weight(height: int, width: int, radius: int) -> np.ndarray:
+    """Blur mass that falls inside the image; divides out the darkening a
+    zero-padded box blur would otherwise introduce at the borders. Cached
+    per shape and radius, so the array is returned read-only."""
+    ones = Tensor(np.ones((height, width, 1)))
+    weight = ad.blur2d(ones, ad.box_kernel(radius)).data
+    weight.flags.writeable = False
+    return weight
 
 
 class GainMapModel(TapeModel):
@@ -108,18 +128,12 @@ class GainMapModel(TapeModel):
         self._kernel = ad.box_kernel(blur_radius)
         self.name = f"gainmap(r={blur_radius},g={max_gain:g})"
 
-    def _border_weight(self, height: int, width: int) -> np.ndarray:
-        """Blur mass that falls inside the image; divides out the darkening
-        a zero-padded blur would otherwise introduce at the borders."""
-        ones = Tensor(np.ones((height, width, 1)))
-        return ad.blur2d(ones, self._kernel).data
-
     def forward_t(self, x: Tensor) -> Tensor:
         h, w = x.data.shape[0], x.data.shape[1]
         lum = ad.mean_channels(x)
         mu = ad.smul(ad.tsum(lum), 1.0 / (h * w))
         smooth = ad.mul(ad.blur2d(lum, self._kernel),
-                        Tensor(1.0 / self._border_weight(h, w)))
+                        Tensor(1.0 / _border_weight(h, w, self.blur_radius)))
         gain = ad.clamp(ad.div(mu, smooth + Tensor(GAIN_DENOM_EPS)),
                         1.0, self.max_gain)
         return ad.clamp01(ad.mul(x, gain))
@@ -144,8 +158,7 @@ class TinyCnnModel(TapeModel):
         self.name = f"tinycnn(seed={seed})"
         rng = Xoshiro256StarStar(seed)
         for pname, shape in self.LAYOUT:
-            self.params[pname] = Tensor(rng.fill_uniform(shape, -0.1, 0.1),
-                                        requires_grad=True)
+            self.params[pname] = Tensor(rng.fill_uniform(shape, -0.1, 0.1))
 
     def forward_t(self, x: Tensor) -> Tensor:
         p = self.params
@@ -162,7 +175,7 @@ class TinyCnnModel(TapeModel):
             if arr.shape != shape:
                 raise ParamsError(
                     f"parameter '{pname}' has shape {arr.shape}, expected {shape}")
-            self.params[pname] = Tensor(arr.copy(), requires_grad=True)
+            self.params[pname] = Tensor(arr.copy())
 
 
 def model_identity() -> IdentityModel:
@@ -198,9 +211,10 @@ def train_toy(model: TapeModel,
 
     dataset holds (shadow, shadow-free) pairs of identical shape. Plain GD
     with no momentum keeps the run deterministic; `seed` is accepted for
-    interface symmetry but the trainer draws no randomness itself. Returns
-    a copy of the final parameters; per-epoch losses go to `on_epoch` and
-    the module logger.
+    interface symmetry but the trainer draws no randomness itself.
+    Parameter gradients are on only while it runs. Returns a copy of the
+    final parameters; per-epoch losses go to `on_epoch` and the module
+    logger.
     """
     if not dataset:
         raise ValueError("training dataset must be non-empty")
@@ -212,27 +226,36 @@ def train_toy(model: TapeModel,
                 f"{shadow.shape} vs {free.shape}")
     n_values = int(np.prod(shape))
 
-    for epoch in range(epochs):
+    trainable = model.params.values()
+    for p in trainable:
+        p.requires_grad = True
+    try:
+        for epoch in range(epochs):
+            model.zero_grad()
+            loss: Tensor | None = None
+            for shadow, free in dataset:
+                pred = model.forward_t(Tensor(shadow.data))
+                err = ad.sub(pred, Tensor(free.data))
+                term = ad.smul(ad.sqnorm(err), 1.0 / n_values)
+                loss = term if loss is None else ad.add(loss, term)
+            loss = ad.smul(loss, 1.0 / len(dataset))
+            value = float(loss.data)
+            if not np.isfinite(value):
+                raise DivergenceError(
+                    f"training loss became non-finite at epoch {epoch}; "
+                    f"try a smaller lr than {lr}")
+            loss.backward()
+            for p in trainable:
+                if p.grad is not None:
+                    p.data = p.data - lr * p.grad
+            log.debug("epoch %d loss %.6g", epoch, value)
+            if on_epoch is not None:
+                on_epoch(epoch, value)
+    finally:
+        # parameters rest frozen, so attacks never differentiate into them
         model.zero_grad()
-        loss: Tensor | None = None
-        for shadow, free in dataset:
-            pred = model.forward_t(Tensor(shadow.data))
-            err = ad.sub(pred, Tensor(free.data))
-            term = ad.smul(ad.sqnorm(err), 1.0 / n_values)
-            loss = term if loss is None else ad.add(loss, term)
-        loss = ad.smul(loss, 1.0 / len(dataset))
-        value = float(loss.data)
-        if not np.isfinite(value):
-            raise DivergenceError(
-                f"training loss became non-finite at epoch {epoch}; "
-                f"try a smaller lr than {lr}")
-        loss.backward()
-        for p in model.params.values():
-            if p.grad is not None:
-                p.data = p.data - lr * p.grad
-        log.debug("epoch %d loss %.6g", epoch, value)
-        if on_epoch is not None:
-            on_epoch(epoch, value)
+        for p in trainable:
+            p.requires_grad = False
     return model.snapshot()
 
 
@@ -275,7 +298,11 @@ def load_params(path) -> dict[str, np.ndarray]:
             pos += 4
             if len(raw) < pos + name_len:
                 raise struct.error
-            name = raw[pos:pos + name_len].decode("utf-8")
+            try:
+                name = raw[pos:pos + name_len].decode("utf-8")
+            except UnicodeDecodeError:
+                raise ParamsError(
+                    f"tensor {label} name is not valid UTF-8") from None
             label = repr(name)
             pos += name_len
             (rank,) = struct.unpack_from("<I", raw, pos)

@@ -1,4 +1,5 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -212,13 +213,62 @@ class TestPgdConstraints:
             def forward(self, image):
                 return image
 
-            def input_grad(self, image, cotangent):
-                return np.full_like(image.data, np.nan)
+            def vjp(self, image):
+                return image, lambda cotangent: np.full_like(image.data, np.nan)
 
         img = interior_image(17)
         config = AttackConfig(mode="uniform", epsilon=0.1, iterations=3, seed=0)
         with pytest.raises(NonFiniteGradientError, match="iteration 0"):
             pgd_attack(BrokenModel(), img, config)
+
+    def test_non_finite_objective_names_iteration(self):
+        class NanOutputModel:
+            name = "nan-output"
+            passes = 0
+
+            def forward(self, image):
+                return image
+
+            def vjp(self, image):
+                self.passes += 1
+                if self.passes < 3:
+                    return image, lambda cotangent: cotangent
+
+                def pullback(cotangent):
+                    raise AssertionError("pullback ran on a NaN objective")
+                # Image() rejects NaN, so the output is a bare duck type
+                return SimpleNamespace(
+                    data=np.full_like(image.data, np.nan)), pullback
+
+        img = interior_image(18)
+        config = AttackConfig(mode="uniform", epsilon=0.1, iterations=5, seed=0)
+        with pytest.raises(NonFiniteGradientError,
+                           match="objective at iteration 2"):
+            pgd_attack(NanOutputModel(), img, config)
+
+    def test_parameters_untouched_by_attack(self):
+        model = model_tinycnn(seed=5)
+        before = model.snapshot()
+        config = AttackConfig(mode="adaptive", epsilon=8 / 255, iterations=3,
+                              seed=2)
+        pgd_attack(model, interior_image(19), config)
+        for name, p in model.params.items():
+            assert p.data.tobytes() == before[name].tobytes()
+            assert p.grad is None
+
+    @pytest.mark.parametrize("make", [model_identity, model_gainmap,
+                                      lambda: model_tinycnn(seed=6)],
+                             ids=["identity", "gainmap", "tinycnn"])
+    def test_result_carries_clean_and_attacked_outputs(self, make):
+        model = make()
+        img = interior_image(20, shape=(10, 10, 3))
+        config = AttackConfig(mode="uniform", epsilon=4 / 255, iterations=3,
+                              seed=3)
+        result = pgd_attack(model, img, config)
+        assert result.clean_output.data.tobytes() \
+            == model.forward(img).data.tobytes()
+        assert result.attacked_output.data.tobytes() \
+            == model.forward(result.attacked_image).data.tobytes()
 
 
 class TestBudgetEquivalence:

@@ -5,7 +5,8 @@ import pytest
 
 from shadowstorm.cli import main, parse_budget, parse_size
 from shadowstorm.imagecore import load_pnm
-from shadowstorm.models import load_params, model_tinycnn, save_params
+from shadowstorm.models import (PARAMS_MAGIC, load_params, model_tinycnn,
+                                save_params)
 from shadowstorm.synthdata import SynthConfig, gen_dataset
 
 
@@ -173,6 +174,37 @@ class TestBench:
                    "8/255,2/255", "--out", str(tmp_path / "x.csv")])
         assert rc == 2
 
+    def test_zero_iters_usage_error_before_any_write(self, dataset_dir,
+                                                      tmp_path):
+        out = tmp_path / "z.csv"
+        rc = main(["bench", "--dataset", str(dataset_dir), "--iters", "0",
+                   "--out", str(out)])
+        assert rc == 2
+        assert os.listdir(tmp_path) == []
+
+    @pytest.mark.parametrize("jobs", ["0", "-2"])
+    def test_non_positive_jobs_usage_error_before_any_write(
+            self, dataset_dir, tmp_path, jobs):
+        out = tmp_path / "j.csv"
+        rc = main(["bench", "--dataset", str(dataset_dir), "--jobs", jobs,
+                   "--out", str(out)])
+        assert rc == 2
+        assert os.listdir(tmp_path) == []
+
+    def test_threaded_sweep_leaves_parameters_untouched(self, dataset_dir):
+        from shadowstorm import bench
+        from shadowstorm.synthdata import load_triplet_dir
+
+        model = model_tinycnn(seed=0)
+        before = model.snapshot()
+        rows, failures = bench.run_sweep(
+            model, load_triplet_dir(dataset_dir), [2 / 255, 4 / 255],
+            ["uniform", "adaptive"], iterations=2, jobs=2)
+        assert len(rows) == 12 and not failures
+        for name, p in model.params.items():
+            assert p.data.tobytes() == before[name].tobytes()
+            assert p.grad is None
+
     def test_sweep_continues_past_failures(self, dataset_dir, tmp_path):
         # a model that blows up on one image must not sink the other cells
         from shadowstorm import bench
@@ -186,10 +218,10 @@ class TestBench:
             def forward(self, image):
                 return self.inner.forward(image)
 
-            def input_grad(self, image, cotangent):
+            def vjp(self, image):
                 if image.width != image.height:
                     raise RuntimeError("synthetic breakage")
-                return self.inner.input_grad(image, cotangent)
+                return self.inner.vjp(image)
 
         triplets = load_triplet_dir(dataset_dir)
         # make the first triplet non-square so only it fails
@@ -231,6 +263,16 @@ class TestGradcheckCommand:
     def test_corrupted_params_io_error(self, tmp_path):
         bad = tmp_path / "bad.sspm"
         bad.write_bytes(b"JUNKJUNKJUNK")
+        rc = main(["gradcheck", "--model", str(bad), "--inputs", "1"])
+        assert rc == 3
+
+
+    def test_invalid_utf8_tensor_name_io_error(self, tmp_path):
+        import struct
+        bad = tmp_path / "bad_name.sspm"
+        bad.write_bytes(PARAMS_MAGIC + struct.pack("<II", 1, 1)
+                        + struct.pack("<I", 1) + b"\xff"
+                        + struct.pack("<II", 1, 1) + struct.pack("<d", 0.5))
         rc = main(["gradcheck", "--model", str(bad), "--inputs", "1"])
         assert rc == 3
 

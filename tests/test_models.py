@@ -1,11 +1,16 @@
+import gc
+import struct
+import weakref
+
 import numpy as np
 import pytest
 
 from shadowstorm import autodiff as ad
 from shadowstorm.autodiff import Tensor
 from shadowstorm.imagecore import Image
-from shadowstorm.models import (DivergenceError, ParamsError, load_params,
-                                model_gainmap, model_identity, model_tinycnn,
+from shadowstorm.models import (PARAMS_MAGIC, DivergenceError, ParamsError,
+                                TapeModel, load_params, model_gainmap,
+                                model_identity, model_tinycnn,
                                 model_tinycnn_from_params, save_params,
                                 train_toy)
 from shadowstorm.rng import Xoshiro256StarStar
@@ -34,6 +39,13 @@ class TestIdentity:
         img = random_image(1)
         cot = Xoshiro256StarStar(2).fill_uniform(img.shape, -1.0, 1.0)
         assert np.array_equal(model_identity().input_grad(img, cot), cot)
+
+    def test_pullback_passes_cotangent(self):
+        img = random_image(1)
+        cot = Xoshiro256StarStar(2).fill_uniform(img.shape, -1.0, 1.0)
+        out, pullback = model_identity().vjp(img)
+        assert np.array_equal(out.data, img.data)
+        assert np.array_equal(pullback(cot), cot)
 
     def test_grad_check(self):
         report = probe_grad_check(model_identity(), seed=3)
@@ -102,7 +114,7 @@ class TestTinyCnn:
 
 
 class TestDirectionalDerivatives:
-    """input_grad against finite differences of directional probes."""
+    """The vjp pullback against finite differences of directional probes."""
 
     @pytest.mark.parametrize("maker", [model_identity,
                                        model_gainmap,
@@ -112,7 +124,8 @@ class TestDirectionalDerivatives:
         rng = Xoshiro256StarStar(20)
         img = Image(rng.fill_uniform((12, 12, 3), 0.25, 0.75))
         cot = rng.fill_uniform(img.shape, -1.0, 1.0)
-        grad = model.input_grad(img, cot)
+        _, pullback = model.vjp(img)
+        grad = pullback(cot)
         h = 1e-4
         for probe_seed in range(3):
             v = Xoshiro256StarStar(probe_seed).fill_uniform(img.shape, -1.0, 1.0)
@@ -124,6 +137,68 @@ class TestDirectionalDerivatives:
             analytic = float(np.sum(grad * v))
             scale = max(abs(fd), abs(analytic), 1e-12)
             assert abs(fd - analytic) / scale < 1e-4
+
+
+class TestVjp:
+    @pytest.mark.parametrize("maker", [model_identity, model_gainmap,
+                                       lambda: model_tinycnn(seed=42)],
+                             ids=["identity", "gainmap", "tinycnn"])
+    def test_output_equals_forward_bytes(self, maker):
+        model = maker()
+        img = random_image(40, shape=(12, 10, 3), lo=0.0, hi=1.0)
+        out, _ = model.vjp(img)
+        expected = model.forward(img)
+        assert out.data.dtype == expected.data.dtype
+        assert out.data.tobytes() == expected.data.tobytes()
+
+    def test_pullback_releases_tape_without_gc(self):
+        class Probe(TapeModel):
+            """Keeps a weak reference to an intermediate tape tensor."""
+            hidden = None
+
+            def forward_t(self, x):
+                mid = ad.relu(ad.smul(x, 2.0))
+                Probe.hidden = weakref.ref(mid)
+                return ad.clamp01(ad.smul(mid, 0.5))
+
+        img = random_image(41, shape=(8, 8, 3))
+        gc.disable()
+        try:
+            # a plain backward leaves the node <-> closure cycles standing
+            out = Probe().forward_t(Tensor(img.data, requires_grad=True))
+            out.backward(np.ones(img.shape))
+            del out
+            assert Probe.hidden() is not None
+
+            _, pullback = Probe().vjp(img)
+            assert Probe.hidden() is not None
+            pullback(np.ones(img.shape))
+            assert Probe.hidden() is None
+        finally:
+            gc.enable()
+
+    def test_pullback_runs_once(self):
+        _, pullback = model_gainmap().vjp(random_image(42))
+        pullback(np.ones((16, 16, 3)))
+        with pytest.raises(RuntimeError, match="twice"):
+            pullback(np.ones((16, 16, 3)))
+
+    def test_train_freezes_params_again(self):
+        model = model_tinycnn(seed=4)
+        train_toy(model, make_dataset(count=1), epochs=2, lr=0.05)
+        assert all(not p.requires_grad and p.grad is None
+                   for p in model.params.values())
+
+
+class TestGainMapBorderWeight:
+    def test_cached_read_only(self):
+        from shadowstorm.models import _border_weight
+        first = _border_weight(9, 7, 2)
+        assert _border_weight(9, 7, 2) is first
+        assert not first.flags.writeable
+        assert first.shape == (9, 7, 1)
+        assert first[4, 3, 0] == pytest.approx(1.0)
+        assert first[0, 0, 0] == pytest.approx(9 / 25)
 
 
 def make_dataset(seed=7, count=32, size=32, blur=4):
@@ -229,6 +304,14 @@ class TestParamsIO:
         clone = model_tinycnn_from_params(load_params(path))
         img = random_image(30)
         assert np.array_equal(model.forward(img).data, clone.forward(img).data)
+
+    def test_invalid_utf8_name_is_params_error(self, tmp_path):
+        path = tmp_path / "bad_name.sspm"
+        path.write_bytes(PARAMS_MAGIC + struct.pack("<II", 1, 1)
+                         + struct.pack("<I", 2) + b"\xff\xfe"
+                         + struct.pack("<II", 1, 1) + struct.pack("<d", 0.5))
+        with pytest.raises(ParamsError, match="UTF-8"):
+            load_params(path)
 
     def test_wrong_shape_rejected(self):
         params = model_tinycnn(seed=1).snapshot()
