@@ -1,4 +1,5 @@
 import os
+import struct
 
 import numpy as np
 import pytest
@@ -174,20 +175,13 @@ class TestBench:
                    "8/255,2/255", "--out", str(tmp_path / "x.csv")])
         assert rc == 2
 
-    def test_zero_iters_usage_error_before_any_write(self, dataset_dir,
-                                                      tmp_path):
-        out = tmp_path / "z.csv"
-        rc = main(["bench", "--dataset", str(dataset_dir), "--iters", "0",
-                   "--out", str(out)])
-        assert rc == 2
-        assert os.listdir(tmp_path) == []
-
-    @pytest.mark.parametrize("jobs", ["0", "-2"])
-    def test_non_positive_jobs_usage_error_before_any_write(
-            self, dataset_dir, tmp_path, jobs):
-        out = tmp_path / "j.csv"
-        rc = main(["bench", "--dataset", str(dataset_dir), "--jobs", jobs,
-                   "--out", str(out)])
+    @pytest.mark.parametrize("flag,value", [("--iters", "0"),
+                                            ("--jobs", "0"),
+                                            ("--jobs", "-2")])
+    def test_count_below_one_usage_error_before_any_write(
+            self, dataset_dir, tmp_path, flag, value):
+        rc = main(["bench", "--dataset", str(dataset_dir), flag, value,
+                   "--out", str(tmp_path / "x.csv")])
         assert rc == 2
         assert os.listdir(tmp_path) == []
 
@@ -266,9 +260,7 @@ class TestGradcheckCommand:
         rc = main(["gradcheck", "--model", str(bad), "--inputs", "1"])
         assert rc == 3
 
-
     def test_invalid_utf8_tensor_name_io_error(self, tmp_path):
-        import struct
         bad = tmp_path / "bad_name.sspm"
         bad.write_bytes(PARAMS_MAGIC + struct.pack("<II", 1, 1)
                         + struct.pack("<I", 1) + b"\xff"

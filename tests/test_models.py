@@ -1,5 +1,4 @@
 import gc
-import struct
 import weakref
 
 import numpy as np
@@ -8,11 +7,10 @@ import pytest
 from shadowstorm import autodiff as ad
 from shadowstorm.autodiff import Tensor
 from shadowstorm.imagecore import Image
-from shadowstorm.models import (PARAMS_MAGIC, DivergenceError, ParamsError,
-                                TapeModel, load_params, model_gainmap,
-                                model_identity, model_tinycnn,
-                                model_tinycnn_from_params, save_params,
-                                train_toy)
+from shadowstorm.models import (DivergenceError, ParamsError, TapeModel,
+                                load_params, model_gainmap, model_identity,
+                                model_tinycnn, model_tinycnn_from_params,
+                                save_params, train_toy)
 from shadowstorm.rng import Xoshiro256StarStar
 from shadowstorm.synthdata import SynthConfig, gen_triplet
 
@@ -304,14 +302,6 @@ class TestParamsIO:
         clone = model_tinycnn_from_params(load_params(path))
         img = random_image(30)
         assert np.array_equal(model.forward(img).data, clone.forward(img).data)
-
-    def test_invalid_utf8_name_is_params_error(self, tmp_path):
-        path = tmp_path / "bad_name.sspm"
-        path.write_bytes(PARAMS_MAGIC + struct.pack("<II", 1, 1)
-                         + struct.pack("<I", 2) + b"\xff\xfe"
-                         + struct.pack("<II", 1, 1) + struct.pack("<d", 0.5))
-        with pytest.raises(ParamsError, match="UTF-8"):
-            load_params(path)
 
     def test_wrong_shape_rejected(self):
         params = model_tinycnn(seed=1).snapshot()
