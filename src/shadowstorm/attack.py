@@ -42,10 +42,9 @@ class AttackConfig:
 
     epsilon is the budget: an absolute bound in uniform mode, a fraction of
     each pixel's intensity in adaptive mode. The step size is epsilon /
-    step_divisor (per coordinate and intensity-scaled in adaptive mode,
-    unless scalar_step forces the single-scalar reading). intensity_floor
-    substitutes for intensities below it so zero pixels keep a one-level
-    budget instead of none.
+    step_divisor, per coordinate and intensity-scaled in adaptive mode.
+    intensity_floor substitutes for intensities below it so zero pixels
+    keep a one-level budget instead of none.
     """
 
     mode: str
@@ -54,7 +53,6 @@ class AttackConfig:
     step_divisor: float = 4.0
     seed: int = 0
     intensity_floor: float = DEFAULT_INTENSITY_FLOOR
-    scalar_step: bool = False
 
     def __post_init__(self):
         if self.mode not in (MODE_UNIFORM, MODE_ADAPTIVE):
@@ -81,10 +79,6 @@ class BudgetBox:
     def is_degenerate(self) -> bool:
         """True when no coordinate has any room to move."""
         return bool(np.all(self.upper - self.lower <= 0.0))
-
-    def contains(self, delta: np.ndarray, tol: float = 0.0) -> bool:
-        return bool(np.all(delta >= self.lower - tol)
-                    and np.all(delta <= self.upper + tol))
 
 
 @dataclass(frozen=True)
@@ -149,7 +143,7 @@ def attack_objective(anchor: Image, attacked_output: Image) -> tuple[float, np.n
 
 
 def _step_size(image: Image, config: AttackConfig) -> np.ndarray | float:
-    if config.mode == MODE_ADAPTIVE and not config.scalar_step:
+    if config.mode == MODE_ADAPTIVE:
         return (config.epsilon / config.step_divisor) * effective_intensity(
             image, config.intensity_floor)
     return config.epsilon / config.step_divisor

@@ -5,16 +5,17 @@ produced it; calling :meth:`Tensor.backward` on a scalar result walks the
 tape in reverse topological order and accumulates exact vector-Jacobian
 products into every reachable tensor with ``requires_grad``.
 
-The primitive set is deliberately small: element-wise arithmetic, relu,
-clamp, sqrt, 2-D convolution (stride 1, zero-padded to same size), average
-pooling, depthwise blur with a fixed kernel, reductions and norms. Images
-and feature maps are (height, width, channels) arrays; scalars are 0-d.
+The primitive set is deliberately small and holds only what the model zoo
+and its trainer use: element-wise add/sub/mul/div and scaling, relu,
+clamp, 2-D convolution (stride 1, zero-padded to same size), depthwise
+blur with a fixed kernel, the channel mean, the sum and the squared l2
+norm. Primitives are module-level functions; Tensor has no operator
+overloads. Images and feature maps are (height, width, channels) arrays;
+scalars are 0-d.
 
 Gradient conventions (documented because they matter for attacks):
-  * the l2 norm has gradient 0 at the origin (a valid subgradient);
   * clamp is straight-through strictly inside its bounds, 0 at and beyond;
-  * relu's gradient at exactly 0 is 0;
-  * sqrt's gradient at exactly 0 is defined as 0.
+  * relu's gradient at exactly 0 is 0.
 """
 
 from __future__ import annotations
@@ -120,8 +121,7 @@ class Tensor:
 
         self._accumulate(seed)
         for node in reversed(topo):
-            # a node can receive no contribution at all when every path to it
-            # chose a zero subgradient (e.g. the l2 norm at the origin)
+            # a backward rule may leave a parent without any contribution
             if node._backward is not None and node.grad is not None:
                 node._backward()
         for node in topo:
@@ -130,35 +130,6 @@ class Tensor:
             if release:
                 node._backward = None
                 node._parents = ()
-
-    # operator sugar over the module-level primitives
-    def __add__(self, other):
-        return add(self, _lift(other))
-
-    def __radd__(self, other):
-        return add(_lift(other), self)
-
-    def __sub__(self, other):
-        return sub(self, _lift(other))
-
-    def __rsub__(self, other):
-        return sub(_lift(other), self)
-
-    def __mul__(self, other):
-        return mul(self, _lift(other))
-
-    def __rmul__(self, other):
-        return mul(_lift(other), self)
-
-    def __truediv__(self, other):
-        return div(self, _lift(other))
-
-    def __neg__(self):
-        return smul(self, -1.0)
-
-
-def _lift(value) -> Tensor:
-    return value if isinstance(value, Tensor) else Tensor(value)
 
 
 def _make(data: np.ndarray, parents: tuple[Tensor, ...],
@@ -268,20 +239,6 @@ def clamp01(a: Tensor) -> Tensor:
     return clamp(a, 0.0, 1.0)
 
 
-def sqrt(a: Tensor) -> Tensor:
-    if np.any(a.data < 0.0):
-        raise ValueError("sqrt: negative input")
-    data = np.sqrt(a.data)
-
-    def build(out):
-        def back():
-            if a.requires_grad:
-                g = np.where(a.data > 0.0, 0.5 / np.maximum(data, 1e-300), 0.0)
-                a._accumulate(out.grad * g)
-        return back
-    return _make(data, (a,), build)
-
-
 def tsum(a: Tensor) -> Tensor:
     data = np.asarray(a.data.sum())
 
@@ -318,21 +275,6 @@ def sqnorm(a: Tensor) -> Tensor:
         def back():
             if a.requires_grad:
                 a._accumulate(out.grad * 2.0 * a.data)
-        return back
-    return _make(data, (a,), build)
-
-
-def l2norm(a: Tensor) -> Tensor:
-    """l2 norm over all entries; gradient at the origin is the zero vector."""
-    norm = float(np.sqrt(np.sum(a.data * a.data)))
-    data = np.asarray(norm)
-
-    def build(out):
-        def back():
-            if a.requires_grad:
-                if norm > 0.0:
-                    a._accumulate(out.grad * (a.data / norm))
-                # at the origin the chosen subgradient is 0: accumulate nothing
         return back
     return _make(data, (a,), build)
 
@@ -390,28 +332,6 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Tensor | None = None) -> Tensor:
     return _make(data, parents, build)
 
 
-def avgpool2d(x: Tensor, size: int) -> Tensor:
-    """Non-overlapping average pooling; H and W must be divisible by size."""
-    xd = x.data
-    if xd.ndim != 3:
-        raise ShapeMismatchError(
-            f"avgpool2d: expected HxWxC input, got shape {xd.shape}")
-    h, w, c = xd.shape
-    if h % size or w % size:
-        raise ShapeMismatchError(
-            f"avgpool2d: {h}x{w} not divisible by pool size {size}")
-    data = xd.reshape(h // size, size, w // size, size, c).mean(axis=(1, 3))
-
-    def build(out):
-        def back():
-            if x.requires_grad:
-                g = out.grad / (size * size)
-                x._accumulate(np.repeat(np.repeat(g, size, axis=0),
-                                        size, axis=1))
-        return back
-    return _make(data, (x,), build)
-
-
 def blur2d(x: Tensor, kernel2d: np.ndarray) -> Tensor:
     """Depthwise blur with a fixed 2-D kernel (not differentiated), zero
     padding to same size. Used for box/Gaussian smoothing inside models."""
@@ -450,14 +370,6 @@ def box_kernel(radius: int) -> np.ndarray:
     """(2r+1) x (2r+1) averaging kernel."""
     size = 2 * radius + 1
     return np.full((size, size), 1.0 / (size * size))
-
-
-def gaussian_kernel(radius: int, sigma: float) -> np.ndarray:
-    """Truncated Gaussian kernel on a (2r+1)^2 support, renormalized to sum 1."""
-    offsets = np.arange(-radius, radius + 1, dtype=np.float64)
-    g = np.exp(-(offsets ** 2) / (2.0 * sigma * sigma))
-    kern = np.outer(g, g)
-    return kern / kern.sum()
 
 
 @dataclass(frozen=True)

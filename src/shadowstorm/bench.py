@@ -19,7 +19,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields
 
 from .attack import AttackConfig, equivalent_uniform_budget, pgd_attack
-from .imagecore import Image
+from .imagecore import Image, ShadowMask, write_atomic
 from .metrics import (REGION_NONSHADOW, REGION_SHADOW, perturbation_norms,
                       psnr, ssim)
 from .models import DiffModel
@@ -90,7 +90,13 @@ def cell_seed(seed: int, image_id: str, mode: str, epsilon: float) -> int:
     return derive_seed(seed ^ h, 0)
 
 
-def region_metrics(reference: Image, test: Image, mask) -> tuple[float, ...]:
+def region_metrics(reference: Image, test: Image,
+                   mask: ShadowMask | None) -> tuple[float, ...]:
+    """PSNR then SSIM, each over all, shadow and non-shadow pixels; the
+    region columns are NaN without a mask."""
+    if mask is None:
+        nan = float("nan")
+        return (psnr(reference, test), nan, nan, ssim(reference, test), nan, nan)
     return (psnr(reference, test),
             psnr(reference, test, mask, REGION_SHADOW),
             psnr(reference, test, mask, REGION_NONSHADOW),
@@ -217,8 +223,7 @@ def write_csv(path, rows: list[ResultRow], failures: list[SweepFailure] = (),
     for f in failures:
         lines.append(f"# failed {f.image_id} {f.mode} "
                      f"{fmt_epsilon(f.epsilon_nominal)} {f.error}")
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_atomic(path, ("\n".join(lines) + "\n").encode("utf-8"))
 
 
 def write_plot_data(path, rows: list[ResultRow]) -> None:
@@ -232,5 +237,4 @@ def write_plot_data(path, rows: list[ResultRow]) -> None:
             "psnr_gt_all", "psnr_gt_shadow", "psnr_gt_nonshadow",
             "ssim_gt_all", "ssim_gt_shadow", "ssim_gt_nonshadow"))
         lines.append(f"{mode} {fmt_epsilon(eps)} {values}")
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_atomic(path, ("\n".join(lines) + "\n").encode("utf-8"))

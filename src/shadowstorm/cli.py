@@ -14,15 +14,15 @@ import sys
 
 import numpy as np
 
-from . import autodiff as ad
 from . import bench, metrics
-from .autodiff import Tensor
 from .attack import (AttackConfig, NonFiniteGradientError, pgd_attack)
-from .imagecore import Image, PnmError, load_mask, load_pnm, save_pnm
+from .imagecore import (Image, PnmError, load_mask, load_pnm, save_pnm,
+                        write_atomic)
 from .models import (DivergenceError, ParamsError, load_params,
                      model_gainmap, model_identity, model_tinycnn,
-                     model_tinycnn_from_params, save_params, train_toy)
-from .rng import Xoshiro256StarStar, derive_seed
+                     model_tinycnn_from_params, probe_gradients, save_params,
+                     train_toy)
+from .rng import derive_seed
 from .synthdata import SynthConfig, TripletDirError, gen_dataset, load_triplet_dir
 
 EXIT_OK = 0
@@ -76,6 +76,14 @@ def load_model(identifier: str):
                      f"{ZOO_NAMES} or a parameter file")
 
 
+def _check_ssim_size(image: Image, what: str) -> None:
+    """Every result row carries SSIM, so an image must hold one window."""
+    if min(image.height, image.width) < metrics.SSIM_WINDOW:
+        raise UsageError(
+            f"{what} is {image.height}x{image.width}, smaller than the "
+            f"{metrics.SSIM_WINDOW}x{metrics.SSIM_WINDOW} SSIM window")
+
+
 def _write_stretched(arr: np.ndarray, path) -> float:
     """Save |arr| linearly stretched to full range; returns the stretch factor."""
     peak = float(np.abs(arr).max())
@@ -99,11 +107,30 @@ def cmd_attack(args) -> int:
     image = load_pnm(args.image)
     mask = load_mask(args.mask) if args.mask else None
     free = load_pnm(args.free) if args.free else None
-    model = load_model(args.model)
+    _check_ssim_size(image, args.image)
+    if mask is not None and not mask.matches(image):
+        raise UsageError(f"mask {args.mask} is {mask.height}x{mask.width}, "
+                         f"image is {image.height}x{image.width}")
+    if free is not None and free.shape != image.shape:
+        raise UsageError(f"--free image has shape {free.shape}, "
+                         f"image has {image.shape}")
     config = AttackConfig(mode=args.mode, epsilon=args.eps,
                           iterations=args.iters, step_divisor=args.step_div,
                           seed=args.seed, intensity_floor=args.floor)
+    model = load_model(args.model)
     result = pgd_attack(model, image, config)
+
+    # metrics before any write: a mask region they cannot use (no shadow
+    # pixels, say) fails with no artifact on disk
+    out_attacked = result.attacked_output
+    norms = metrics.perturbation_norms(result.perturbation, image, args.floor)
+    gt = ((float("nan"),) * 6 if free is None
+          else bench.region_metrics(free, out_attacked, mask))
+    clean = bench.region_metrics(result.clean_output, out_attacked, mask)
+    image_id = os.path.splitext(os.path.basename(args.image))[0]
+    row = bench.ResultRow(image_id, args.mode, args.eps, config.epsilon,
+                          *gt, *clean, norms.l1_mean, norms.linf,
+                          norms.linf_normalized, args.iters, 0.0)
 
     prefix = args.out_prefix
     ext = "pgm" if image.channels == 1 else "ppm"
@@ -113,25 +140,6 @@ def cmd_attack(args) -> int:
     norm_map = metrics.normalized_perturbation_map(result.perturbation, image,
                                                    args.floor)
     norm_stretch = _write_stretched(norm_map, f"{prefix}_normmap.{ext}")
-
-    out_attacked = result.attacked_output
-    norms = metrics.perturbation_norms(result.perturbation, image, args.floor)
-    nan = float("nan")
-
-    def paired_metrics(reference):
-        if reference is None:
-            return (nan,) * 6
-        if mask is None:
-            return (metrics.psnr(reference, out_attacked), nan, nan,
-                    metrics.ssim(reference, out_attacked), nan, nan)
-        return bench.region_metrics(reference, out_attacked, mask)
-
-    gt = paired_metrics(free)
-    clean = paired_metrics(result.clean_output)
-    image_id = os.path.splitext(os.path.basename(args.image))[0]
-    row = bench.ResultRow(image_id, args.mode, args.eps, config.epsilon,
-                          *gt, *clean, norms.l1_mean, norms.linf,
-                          norms.linf_normalized, args.iters, 0.0)
     bench.write_csv(f"{prefix}.csv", [row], extra_comments=(
         f"# delta_viz_stretch {bench.fmt_value(delta_stretch)}",
         f"# normmap_stretch {bench.fmt_value(norm_stretch)}",
@@ -146,7 +154,8 @@ def cmd_bench(args) -> int:
         if value < 1:
             raise UsageError(f"{flag} must be >= 1, got {value}")
     triplets = load_triplet_dir(args.dataset)
-    model = load_model(args.model)
+    for index, triplet in triplets:
+        _check_ssim_size(triplet.shadow, f"triplet {index:04d}")
     budgets = [parse_budget(b) for b in args.budgets.split(",")]
     if budgets != sorted(budgets):
         raise UsageError("budgets must be sorted ascending")
@@ -154,6 +163,7 @@ def cmd_bench(args) -> int:
     for mode in modes:
         if mode not in ("uniform", "adaptive"):
             raise UsageError(f"unknown mode {mode!r}")
+    model = load_model(args.model)
     rows, failures = bench.run_sweep(
         model, triplets, budgets, modes, equalize=args.equalize,
         iterations=args.iters, step_divisor=args.step_div, seed=args.seed,
@@ -170,34 +180,19 @@ def cmd_bench(args) -> int:
 
 def cmd_gradcheck(args) -> int:
     names = ZOO_NAMES if args.model == "all" else (args.model,)
-    height, width = args.size
     worst_name, worst = None, None
     for mi, name in enumerate(names):
-        model = load_model(name)
-        rng = Xoshiro256StarStar(derive_seed(args.seed, mi))
-        model_worst = 0.0
-        valid = 0
-        redrawn = 0
-        while valid < args.inputs and redrawn <= args.inputs + 5:
-            x = rng.fill_uniform((height, width, 3), 0.2, 0.8)
-            cot = Tensor(rng.fill_uniform((height, width, 3), -1.0, 1.0))
-
-            def probe_fn(t):
-                return ad.tsum(ad.mul(model.forward_t(t), cot))
-
-            report = ad.grad_check(probe_fn, x, h=args.h, tol=args.tol)
-            if report.checked_count < 0.95 * x.size:
-                # draw landed on a clamp boundary: nothing to compare against
-                redrawn += 1
-                continue
-            valid += 1
-            model_worst = max(model_worst, report.max_rel_error)
+        reports, redrawn = probe_gradients(
+            load_model(name), derive_seed(args.seed, mi), args.inputs,
+            (*args.size, 3), args.h, args.tol)
+        for report in reports:
             if not report.passed and (worst is None
                                       or report.max_rel_error > worst.max_rel_error):
                 worst_name, worst = name, report
+        model_worst = max((r.max_rel_error for r in reports), default=0.0)
         note = f", {redrawn} kink-seated draws redrawn" if redrawn else ""
         print(f"{name}: max relative error {model_worst:.3e} "
-              f"over {valid} inputs (tol {args.tol:g}){note}")
+              f"over {len(reports)} inputs (tol {args.tol:g}){note}")
     if worst is not None:
         print(f"FAIL: {worst_name} gradient mismatch {worst.max_rel_error:.3e} "
               f"at coordinate {worst.worst_coord}", file=sys.stderr)
@@ -213,14 +208,12 @@ def cmd_train(args) -> int:
     model = model_tinycnn(seed=args.seed)
     losses: list[float] = []
     params = train_toy(model, dataset, epochs=args.epochs, lr=args.lr,
-                       seed=args.seed,
                        on_epoch=lambda _e, loss: losses.append(loss))
     save_params(params, args.out)
     log_path = args.loss_log or args.out + ".losslog.csv"
-    with open(log_path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("epoch,loss\n")
-        for epoch, loss in enumerate(losses):
-            fh.write(f"{epoch},{bench.fmt_value(loss)}\n")
+    lines = ["epoch,loss"] + [f"{epoch},{bench.fmt_value(loss)}"
+                              for epoch, loss in enumerate(losses)]
+    write_atomic(log_path, ("\n".join(lines) + "\n").encode("utf-8"))
     final = f", final loss {losses[-1]:.6g}" if losses else ""
     print(f"trained {args.epochs} epochs{final}; params -> {args.out}")
     return EXIT_OK

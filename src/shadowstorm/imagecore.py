@@ -9,6 +9,7 @@ are marked read-only) and safe to share across workers.
 
 from __future__ import annotations
 
+import contextlib
 import os
 from dataclasses import dataclass
 
@@ -206,12 +207,22 @@ def save_pnm(image: Image, path) -> None:
     """
     magic = b"P5" if image.channels == 1 else b"P6"
     header = magic + b"\n%d %d\n255\n" % (image.width, image.height)
-    payload = quantize(image.data).tobytes()
+    write_atomic(path, header + quantize(image.data).tobytes())
+
+
+def write_atomic(path, payload: bytes) -> None:
+    """Write `payload` to a temporary file beside `path`, then rename it
+    over `path`: readers see the old file or the new one, never a partial
+    write. The temporary file is removed if any step fails."""
     tmp = f"{path}.tmp{os.getpid()}"
-    with open(tmp, "wb") as fh:
-        fh.write(header)
-        fh.write(payload)
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(payload)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        raise
 
 
 def load_mask(path, threshold: float = 0.5) -> ShadowMask:

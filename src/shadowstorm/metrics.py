@@ -5,8 +5,7 @@ selected pixel set across all channels, +inf on exact equality. SSIM uses
 the standard 11x11 Gaussian window (sigma 1.5, truncated and renormalized)
 with K1 = 0.01, K2 = 0.03 on a dense per-pixel map; windows are 'valid'
 (fully inside the image) and each map pixel is assigned to a region by the
-mask value at its window center. Region selection can optionally dilate
-the shadow mask first.
+mask value at its window center.
 """
 
 from __future__ import annotations
@@ -34,22 +33,8 @@ class EmptyRegionError(ValueError):
     """The requested region contains no pixels."""
 
 
-def dilate_mask(mask: np.ndarray, radius: int) -> np.ndarray:
-    """Binary dilation with a (2r+1)-square structuring element."""
-    if radius <= 0:
-        return mask.astype(bool)
-    h, w = mask.shape
-    padded = np.zeros((h + 2 * radius, w + 2 * radius), dtype=bool)
-    padded[radius:radius + h, radius:radius + w] = mask.astype(bool)
-    out = np.zeros((h, w), dtype=bool)
-    for dy in range(2 * radius + 1):
-        for dx in range(2 * radius + 1):
-            out |= padded[dy:dy + h, dx:dx + w]
-    return out
-
-
 def _region_select(mask: ShadowMask | None, region: str,
-                   shape: tuple[int, int], dilate: int) -> np.ndarray:
+                   shape: tuple[int, int]) -> np.ndarray:
     """Boolean (H, W) membership map for the requested region."""
     if region not in _REGIONS:
         raise ValueError(f"unknown region {region!r}, expected one of {_REGIONS}")
@@ -60,7 +45,7 @@ def _region_select(mask: ShadowMask | None, region: str,
     if mask.data.shape != shape:
         raise ValueError(
             f"mask shape {mask.data.shape} does not match image shape {shape}")
-    shadow = dilate_mask(mask.data, dilate)
+    shadow = mask.data.astype(bool)
     if not shadow.any() or shadow.all():
         raise EmptyRegionError(
             "region metrics need both shadow and non-shadow pixels")
@@ -73,18 +58,18 @@ def _check_pair(x: Image, y: Image) -> None:
 
 
 def region_mse(x: Image, y: Image, mask: ShadowMask | None = None,
-               region: str = REGION_ALL, dilate: int = 0) -> float:
+               region: str = REGION_ALL) -> float:
     """Mean squared error over the selected pixels, all channels."""
     _check_pair(x, y)
-    select = _region_select(mask, region, x.shape[:2], dilate)
+    select = _region_select(mask, region, x.shape[:2])
     diff = x.data[select] - y.data[select]
     return float(np.mean(diff * diff))
 
 
 def psnr(x: Image, y: Image, mask: ShadowMask | None = None,
-         region: str = REGION_ALL, dilate: int = 0) -> float:
+         region: str = REGION_ALL) -> float:
     """Peak signal-to-noise ratio in dB (peak 1.0); +inf on exact equality."""
-    mse = region_mse(x, y, mask, region, dilate)
+    mse = region_mse(x, y, mask, region)
     if mse == 0.0:
         return math.inf
     return 10.0 * math.log10(1.0 / mse)
@@ -126,11 +111,11 @@ def ssim_map(x: Image, y: Image) -> np.ndarray:
 
 
 def ssim(x: Image, y: Image, mask: ShadowMask | None = None,
-         region: str = REGION_ALL, dilate: int = 0) -> float:
+         region: str = REGION_ALL) -> float:
     """Mean SSIM over the selected region (window-center membership)."""
     smap = ssim_map(x, y)
     margin = (SSIM_WINDOW - 1) // 2
-    select = _region_select(mask, region, x.shape[:2], dilate)
+    select = _region_select(mask, region, x.shape[:2])
     centers = select[margin:margin + smap.shape[0],
                      margin:margin + smap.shape[1]]
     if not centers.any():
@@ -173,36 +158,3 @@ def normalized_perturbation_map(delta: Perturbation, image: Image,
         raise ValueError(
             f"delta shape {delta.shape} does not match image shape {image.shape}")
     return np.abs(delta.data) / np.maximum(image.data, floor)
-
-
-@dataclass(frozen=True)
-class MetricReport:
-    """The full evaluation vocabulary for one (reference, test) pair."""
-
-    psnr_all: float
-    psnr_shadow: float
-    psnr_nonshadow: float
-    ssim_all: float
-    ssim_shadow: float
-    ssim_nonshadow: float
-    l1_perturb: float
-    linf_perturb: float
-    linf_normalized: float
-
-
-def metric_report(reference: Image, test: Image, mask: ShadowMask,
-                  delta: Perturbation, image: Image,
-                  floor: float = 1.0 / 255.0, dilate: int = 0) -> MetricReport:
-    """Region PSNR/SSIM of test against reference plus perturbation norms."""
-    norms = perturbation_norms(delta, image, floor)
-    return MetricReport(
-        psnr_all=psnr(reference, test),
-        psnr_shadow=psnr(reference, test, mask, REGION_SHADOW, dilate),
-        psnr_nonshadow=psnr(reference, test, mask, REGION_NONSHADOW, dilate),
-        ssim_all=ssim(reference, test),
-        ssim_shadow=ssim(reference, test, mask, REGION_SHADOW, dilate),
-        ssim_nonshadow=ssim(reference, test, mask, REGION_NONSHADOW, dilate),
-        l1_perturb=norms.l1_mean,
-        linf_perturb=norms.linf,
-        linf_normalized=norms.linf_normalized,
-    )

@@ -23,7 +23,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .imagecore import Image, ShadowMask, load_mask, load_pnm, save_mask, save_pnm
+from . import autodiff as ad
+from .imagecore import (Image, ShadowMask, load_mask, load_pnm, save_mask,
+                        save_pnm, write_atomic)
 from .rng import Xoshiro256StarStar, derive_seed
 
 log = logging.getLogger(__name__)
@@ -192,26 +194,14 @@ def _gen_mask(rng: Xoshiro256StarStar, height: int, width: int,
         f"after {MASK_REJECTION_LIMIT} attempts")
 
 
-def box_blur(arr: np.ndarray, radius: int) -> np.ndarray:
-    """Zero-padded (2r+1)-square box blur of a 2-D array."""
-    if radius <= 0:
-        return np.asarray(arr, dtype=np.float64).copy()
-    h, w = arr.shape
-    size = 2 * radius + 1
-    padded = np.zeros((h + size - 1, w + size - 1))
-    padded[radius:radius + h, radius:radius + w] = arr
-    out = np.zeros((h, w))
-    for i in range(size):
-        for j in range(size):
-            out += padded[i:i + h, j:j + w]
-    return out / (size * size)
-
-
 def render_triplet(base: np.ndarray, mask: np.ndarray, k: float,
                    blur_radius: int) -> Triplet:
-    """Apply the attenuation model to prebuilt base and mask arrays."""
-    soft = box_blur(mask.astype(np.float64), blur_radius)
-    shadow = base * (1.0 - k * soft)[:, :, np.newaxis]
+    """Apply the attenuation model to prebuilt base and mask arrays. The
+    soft mask is a zero-padded (2r+1)-square box blur of the hard one: unit
+    taps summed, then divided by their count."""
+    size = 2 * blur_radius + 1
+    taps = ad.blur2d(ad.Tensor(mask[:, :, np.newaxis]), np.ones((size, size)))
+    shadow = base * (1.0 - k * (taps.data / (size * size)))
     return Triplet(shadow=Image(shadow), mask=ShadowMask(mask),
                    shadow_free=Image(base))
 
@@ -261,12 +251,11 @@ def gen_dataset(config: SynthConfig, out_dir) -> list[ManifestEntry]:
         entries.append(ManifestEntry(index=index, k=k,
                                      area_fraction=float(mask.mean()),
                                      seed=derive_seed(config.seed, index)))
-    manifest = os.path.join(out_dir, MANIFEST_NAME)
-    with open(manifest, "w", encoding="utf-8") as fh:
-        fh.write("# shadowstorm-manifest v1\n")
-        fh.write("# index\tk\tarea_fraction\tseed\n")
-        for e in entries:
-            fh.write(f"{e.index}\t{e.k!r}\t{e.area_fraction!r}\t{e.seed}\n")
+    lines = ["# shadowstorm-manifest v1", "# index\tk\tarea_fraction\tseed"]
+    lines += [f"{e.index}\t{e.k!r}\t{e.area_fraction!r}\t{e.seed}"
+              for e in entries]
+    write_atomic(os.path.join(out_dir, MANIFEST_NAME),
+                 ("\n".join(lines) + "\n").encode("utf-8"))
     return entries
 
 

@@ -13,12 +13,10 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from shadowstorm import autodiff as ad
 from shadowstorm import bench, metrics, models, synthdata
 from shadowstorm.attack import (AttackConfig, budget_box,
                                 equivalent_uniform_budget, init_delta,
                                 pgd_attack, verify_l1_bound)
-from shadowstorm.autodiff import Tensor
 from shadowstorm.cli import main
 from shadowstorm.imagecore import Image, Perturbation
 from shadowstorm.rng import Xoshiro256StarStar, derive_seed
@@ -188,25 +186,15 @@ def test_criterion_04_gradient_fidelity():
     worst_overall = 0.0
     redraws = 0
     for mi, model in enumerate(zoo_for_audit()):
-        rng = Xoshiro256StarStar(derive_seed(0, mi))
-        worst = 0.0
-        valid_probes = 0
-        attempts = 0
-        while valid_probes < 20:
-            attempts += 1
-            assert attempts <= 25, f"{model.name}: too many degenerate draws"
-            x = rng.fill_uniform((16, 16, 3), 0.2, 0.8)
-            cot = Tensor(rng.fill_uniform((16, 16, 3), -1.0, 1.0))
-            rep = ad.grad_check(
-                lambda t: ad.tsum(ad.mul(model.forward_t(t), cot)),
-                x, h=1e-4, tol=1e-4)
-            if rep.checked_count < 0.95 * x.size:
-                redraws += 1
-                continue
-            assert rep.passed, (model.name, valid_probes, rep.max_rel_error)
-            worst = max(worst, rep.max_rel_error)
-            valid_probes += 1
-        worst_overall = max(worst_overall, worst)
+        reports, model_redraws = models.probe_gradients(
+            model, derive_seed(0, mi), 20, (16, 16, 3), 1e-4, 1e-4)
+        # 20 valid probes within 25 attempts
+        assert model_redraws <= 5, f"{model.name}: too many degenerate draws"
+        assert len(reports) == 20, model.name
+        for i, rep in enumerate(reports):
+            assert rep.passed, (model.name, i, rep.max_rel_error)
+            worst_overall = max(worst_overall, rep.max_rel_error)
+        redraws += model_redraws
     elapsed = time.time() - started
     assert elapsed < 300.0
     report(4, f"3 models x 20 inputs, worst relative error "

@@ -95,7 +95,8 @@ class TestInitDelta:
         img = Image(Xoshiro256StarStar(5).fill((10, 10, 3)))
         box = budget_box(img, AttackConfig(mode="adaptive", epsilon=0.2))
         delta = init_delta(box, seed=1)
-        assert box.contains(delta.data)
+        assert np.all(delta.data >= box.lower)
+        assert np.all(delta.data <= box.upper)
 
     def test_mean_near_midpoint_statistical(self):
         # 1e5 coordinates with a constant box: the empirical mean must fall
@@ -343,22 +344,3 @@ class TestGrayscale:
         assert result.perturbation.shape == (16, 16, 1)
         norms = perturbation_norms(result.perturbation, img)
         assert norms.linf_normalized <= 8 / 255 + 1e-9
-
-
-class TestScalarStepSwitch:
-    def test_scalar_step_still_respects_box(self):
-        img = Image(Xoshiro256StarStar(23).fill((8, 8, 3)))
-        config = AttackConfig(mode="adaptive", epsilon=16 / 255, iterations=5,
-                              seed=1, scalar_step=True)
-        box = budget_box(img, config)
-        result = pgd_attack(model_gainmap(blur_radius=2), img, config)
-        assert box.contains(result.perturbation.data, tol=1e-12)
-
-    def test_scalar_and_per_pixel_steps_differ(self):
-        img = interior_image(24, shape=(10, 10, 3), lo=0.05, hi=0.95)
-        base = dict(mode="adaptive", epsilon=16 / 255, iterations=3, seed=2)
-        per_pixel = pgd_attack(model_gainmap(), img, AttackConfig(**base))
-        scalar = pgd_attack(model_gainmap(), img,
-                            AttackConfig(**base, scalar_step=True))
-        assert not np.array_equal(per_pixel.perturbation.data,
-                                  scalar.perturbation.data)

@@ -25,13 +25,6 @@ def analytic_grad(f_tensor, x):
 
 
 class TestBasics:
-    def test_l2norm_pythagorean(self):
-        x = Tensor(np.array([3.0, 4.0]), requires_grad=True)
-        out = ad.l2norm(x)
-        assert float(out.data) == 5.0
-        out.backward()
-        assert np.allclose(x.grad, [0.6, 0.8])
-
     def test_relu_dead_region(self):
         x = Tensor(np.array([-1.0]), requires_grad=True)
         ad.tsum(ad.relu(x)).backward()
@@ -54,31 +47,10 @@ class TestBasics:
         ad.tsum(ad.mul(x, x)).backward()
         assert np.array_equal(x.grad, [2.0, 4.0])
 
-    def test_l2norm_zero_subgradient(self):
-        a = Tensor(np.array([0.4, 0.6]), requires_grad=True)
-        b = Tensor(np.array([0.4, 0.6]))
-        out = ad.l2norm(ad.sub(a, b))
-        assert float(out.data) == 0.0
-        out.backward()
-        assert np.array_equal(a.grad, [0.0, 0.0])
-
-    def test_sqrt_at_zero_defined(self):
-        x = Tensor(np.array([0.0, 4.0]), requires_grad=True)
-        ad.tsum(ad.sqrt(x)).backward()
-        assert x.grad[0] == 0.0
-        assert x.grad[1] == pytest.approx(0.25)
-
     def test_clamp_straight_through_strictly_inside(self):
         x = Tensor(np.array([0.0, 0.5, 1.0, -0.2, 1.3]), requires_grad=True)
         ad.tsum(ad.clamp01(x)).backward()
         assert np.array_equal(x.grad, [0.0, 1.0, 0.0, 0.0, 0.0])
-
-    def test_avgpool_forward_backward(self):
-        x = Tensor(np.arange(16.0).reshape(4, 4, 1), requires_grad=True)
-        out = ad.avgpool2d(x, 2)
-        assert np.array_equal(out.data[:, :, 0], [[2.5, 4.5], [10.5, 12.5]])
-        ad.tsum(out).backward()
-        assert np.allclose(x.grad, 0.25)
 
     def test_broadcast_channel_gain(self):
         rng = Xoshiro256StarStar(2)
@@ -111,10 +83,6 @@ class TestErrors:
         with pytest.raises(ShapeMismatchError, match="conv2d"):
             ad.conv2d(Tensor(np.zeros((4, 4, 2))), Tensor(np.zeros((3, 3, 3, 1))))
 
-    def test_avgpool_indivisible(self):
-        with pytest.raises(ShapeMismatchError, match="avgpool2d"):
-            ad.avgpool2d(Tensor(np.zeros((5, 4, 1))), 2)
-
 
 class TestLinearity:
     def test_backward_linear_combination(self):
@@ -126,7 +94,7 @@ class TestLinearity:
             return ad.sqnorm(t)
 
         def g(t):
-            return ad.tsum(ad.mul(t, t + Tensor(np.full(x0.shape, 0.3))))
+            return ad.tsum(ad.mul(t, ad.add(t, Tensor(np.full(x0.shape, 0.3)))))
 
         grad_f = analytic_grad(f, x0)
         grad_g = analytic_grad(g, x0)
@@ -145,7 +113,7 @@ class TestDeterminism:
         def run():
             x = Tensor(x0.copy(), requires_grad=True)
             k = Tensor(kern.copy(), requires_grad=True)
-            out = ad.l2norm(ad.relu(ad.conv2d(x, k)))
+            out = ad.sqnorm(ad.relu(ad.conv2d(x, k)))
             out.backward()
             return x.grad.copy(), k.grad.copy()
 
@@ -173,7 +141,7 @@ class TestFiniteDifferences:
         rng = Xoshiro256StarStar(10)
         x = _safe_uniform(rng, (3, 4, 2))
         other = Tensor(_safe_uniform(rng, (3, 4, 2), 0.5, 1.5))
-        self.check(lambda t: ad.tsum(ad.div(ad.mul(t, other), other + t)), x)
+        self.check(lambda t: ad.tsum(ad.div(ad.mul(t, other), ad.add(other, t))), x)
 
     def test_conv2d_wrt_input_and_kernel(self):
         rng = Xoshiro256StarStar(11)
@@ -189,23 +157,24 @@ class TestFiniteDifferences:
         self.check(lambda t: ad.tsum(ad.mul(
             ad.conv2d(Tensor(x), Tensor(kern), t), probe)), bias)
 
-    def test_blur_and_pool(self):
+    def test_blur2d(self):
         rng = Xoshiro256StarStar(12)
         x = _safe_uniform(rng, (6, 6, 2))
         probe = Tensor(rng.fill_uniform((6, 6, 2), -1.0, 1.0))
-        probe_pool = Tensor(rng.fill_uniform((3, 3, 2), -1.0, 1.0))
+        # an asymmetric kernel catches a flipped or transposed backward rule
+        skewed = np.array([[0.05, 0.10, 0.02],
+                           [0.20, 0.30, 0.07],
+                           [0.01, 0.15, 0.10]])
         self.check(lambda t: ad.tsum(ad.mul(
             ad.blur2d(t, ad.box_kernel(1)), probe)), x)
-        self.check(lambda t: ad.tsum(ad.mul(
-            ad.blur2d(t, ad.gaussian_kernel(2, 1.0)), probe)), x)
-        self.check(lambda t: ad.tsum(ad.mul(ad.avgpool2d(t, 2), probe_pool)), x)
+        self.check(lambda t: ad.tsum(ad.mul(ad.blur2d(t, skewed), probe)), x)
 
-    def test_norms_and_sqrt(self):
+    def test_sqnorm_and_mean_channels(self):
         rng = Xoshiro256StarStar(13)
         x = _safe_uniform(rng, (4, 4, 1))
-        self.check(lambda t: ad.l2norm(t - Tensor(np.full(x.shape, 0.45))), x)
+        offset = Tensor(np.full(x.shape, 0.45))
+        self.check(lambda t: ad.sqnorm(ad.sub(t, offset)), x)
         self.check(lambda t: ad.sqnorm(t), x)
-        self.check(lambda t: ad.tsum(ad.sqrt(t)), x)
         self.check(lambda t: ad.sqnorm(ad.mean_channels(t)), x)
 
     def test_relu_clamp_away_from_kinks(self):
@@ -218,7 +187,7 @@ class TestFiniteDifferences:
         self.check(lambda t: ad.tsum(ad.mul(ad.clamp01(t), probe)), x)
 
     def test_three_layer_conv_net(self):
-        # the composite case: conv -> relu -> conv -> relu -> conv -> l2
+        # the composite case: conv -> relu -> conv -> relu -> conv -> squared l2
         rng = Xoshiro256StarStar(15)
         x = _safe_uniform(rng, (8, 8, 3), 0.2, 0.8)
         k1 = Tensor(rng.fill_uniform((3, 3, 3, 4), -0.1, 0.1))
@@ -229,7 +198,7 @@ class TestFiniteDifferences:
         def net(t):
             h1 = ad.relu(ad.conv2d(t, k1))
             h2 = ad.relu(ad.conv2d(h1, k2))
-            return ad.l2norm(ad.sub(ad.conv2d(h2, k3), anchor))
+            return ad.sqnorm(ad.sub(ad.conv2d(h2, k3), anchor))
 
         analytic = analytic_grad(net, x)
         numeric = finite_diff(lambda a: net(Tensor(a)).data, x, h=1e-4)

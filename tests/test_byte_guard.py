@@ -1,9 +1,10 @@
-"""Byte identity of small bench and train runs.
+"""Byte identity of small gen, bench and train runs.
 
-The expected digests were recorded from the code before the single-pass
-`vjp` protocol; a change that moves them changes what the CLI writes and
-must say so. The CSV is hashed without its `# dataset` line, which holds
-a temporary path.
+The bench and train digests were recorded from the code before the
+single-pass `vjp` protocol, the gen digests from the code before the
+generator's soft-mask blur moved onto `autodiff.blur2d`; a change that
+moves them changes what the CLI writes and must say so. The CSV is hashed
+without its `# dataset` line, which holds a temporary path.
 """
 
 import hashlib
@@ -12,6 +13,22 @@ import pytest
 
 from shadowstorm.cli import main
 
+GEN_DIGESTS = {
+    "free_0000.ppm":
+        "55c3cdeb15aedce2f113fc9e2b0812d83c227312bb9afe0a7e1c2c51243c743c",
+    "free_0001.ppm":
+        "56449eb223ebe7374c70adf44f366927917a68a3d5a1e5e216151bdab7ed28d3",
+    "manifest.tsv":
+        "ffc96386f7074269505c10b3e93b4eb18810464ff06537c636dc5827c48c8ee3",
+    "mask_0000.pgm":
+        "872956dc698a13ccadd264c6c54ab410a6fae930e3c208655e127b1214d53f1a",
+    "mask_0001.pgm":
+        "c693feff891a4e2eb45a64ca07163f613dbbc635e7b9b4899b5a02b3adfa6d73",
+    "shadow_0000.ppm":
+        "40aec1fa84c415bef0b5ae76722ef92af0f8c758e9a2e6f6b9bb390196733855",
+    "shadow_0001.ppm":
+        "b57459e0e9d1859fca2107b29eb984f99695227287a9d98e0286bcc75be135f0",
+}
 BENCH_DIGESTS = {
     "gainmap": (
         "dde52238ea1e3c5f8611190bd693fc94ae496d832ef92998ddd7a6ac2da15861",
@@ -36,6 +53,11 @@ def small_dataset(tmp_path_factory):
     assert main(["gen", "--seed", "1", "--count", "2", "--size", "32x32",
                  "--out", str(path)]) == 0
     return path
+
+
+def test_gen_bytes(small_dataset):
+    assert {path.name: sha256(path.read_bytes())
+            for path in small_dataset.iterdir()} == GEN_DIGESTS
 
 
 @pytest.mark.parametrize("model", sorted(BENCH_DIGESTS))

@@ -4,11 +4,18 @@ import struct
 import numpy as np
 import pytest
 
+from shadowstorm import cli
 from shadowstorm.cli import main, parse_budget, parse_size
-from shadowstorm.imagecore import load_pnm
+from shadowstorm.imagecore import Image, ShadowMask, load_pnm, save_mask, save_pnm
 from shadowstorm.models import (PARAMS_MAGIC, load_params, model_tinycnn,
                                 save_params)
 from shadowstorm.synthdata import SynthConfig, gen_dataset
+
+
+def forbid_model_load(monkeypatch):
+    def load_model(_identifier):
+        pytest.fail("the model was loaded before the inputs were validated")
+    monkeypatch.setattr(cli, "load_model", load_model)
 
 
 @pytest.fixture(scope="module")
@@ -87,6 +94,40 @@ class TestAttack:
         assert main(argv + ["--out-prefix", p2]) == 0
         assert open(p1 + ".csv").read().replace("r1", "") \
             == open(p2 + ".csv").read().replace("r2", "")
+
+    @pytest.mark.parametrize("image_size,mask_size",
+                             [((8, 8), None), ((32, 32), (24, 24))],
+                             ids=["below-ssim-window", "mask-size-mismatch"])
+    def test_bad_input_usage_error_before_any_write(
+            self, tmp_path, monkeypatch, image_size, mask_size):
+        # an image below the 11x11 SSIM window, or a mask of another size
+        image = tmp_path / "img.ppm"
+        save_pnm(Image(np.full((*image_size, 3), 0.5)), image)
+        argv = ["attack", "--mode", "uniform", "--eps", "4/255",
+                "--image", str(image)]
+        if mask_size is not None:
+            save_mask(ShadowMask(np.eye(*mask_size, dtype=np.uint8)),
+                      tmp_path / "mask.pgm")
+            argv += ["--mask", str(tmp_path / "mask.pgm")]
+        out = tmp_path / "out"
+        out.mkdir()
+        forbid_model_load(monkeypatch)
+        assert main(argv + ["--out-prefix", str(out / "x")]) == 2
+        assert os.listdir(out) == []
+
+    def test_mask_without_shadow_usage_error_before_any_write(
+            self, dataset_dir, tmp_path):
+        save_mask(ShadowMask(np.zeros((32, 32), dtype=np.uint8)),
+                  tmp_path / "none.pgm")
+        out = tmp_path / "out"
+        out.mkdir()
+        rc = main(["attack", "--mode", "uniform", "--eps", "4/255",
+                   "--iters", "1",
+                   "--image", str(dataset_dir / "shadow_0000.ppm"),
+                   "--mask", str(tmp_path / "none.pgm"),
+                   "--out-prefix", str(out / "x")])
+        assert rc == 2
+        assert os.listdir(out) == []
 
     def test_missing_image_is_io_error(self, tmp_path):
         rc = main(["attack", "--mode", "uniform", "--eps", "0.1",
@@ -184,6 +225,23 @@ class TestBench:
                    "--out", str(tmp_path / "x.csv")])
         assert rc == 2
         assert os.listdir(tmp_path) == []
+
+    def test_image_below_ssim_window_usage_error_before_any_write(
+            self, tmp_path, monkeypatch):
+        small = tmp_path / "small"
+        small.mkdir()
+        image = Image(np.full((8, 8, 3), 0.5))
+        save_pnm(image, small / "shadow_0000.ppm")
+        save_pnm(image, small / "free_0000.ppm")
+        save_mask(ShadowMask(np.eye(8, dtype=np.uint8)),
+                  small / "mask_0000.pgm")
+        out = tmp_path / "out"
+        out.mkdir()
+        forbid_model_load(monkeypatch)
+        rc = main(["bench", "--dataset", str(small),
+                   "--out", str(out / "x.csv")])
+        assert rc == 2
+        assert os.listdir(out) == []
 
     def test_threaded_sweep_leaves_parameters_untouched(self, dataset_dir):
         from shadowstorm import bench

@@ -1,8 +1,10 @@
 import math
+import os
 
 import numpy as np
 import pytest
 
+from shadowstorm import bench, models
 from shadowstorm.imagecore import (Image, PnmError, Perturbation, ShadowMask,
                                    load_mask, load_pnm, mean_intensity,
                                    quantize, save_mask, save_pnm)
@@ -87,6 +89,26 @@ class TestSavePnm:
         save_pnm(img, p1)
         save_pnm(load_pnm(p1), p2)
         assert open(p1, "rb").read() == open(p2, "rb").read()
+
+
+class TestWriteAtomic:
+    @pytest.mark.parametrize("write", [
+        lambda path: save_pnm(Image(np.zeros((2, 2, 1))), path),
+        lambda path: bench.write_csv(path, []),
+        lambda path: models.save_params({"w": np.ones(2)}, path),
+    ], ids=["save_pnm", "write_csv", "save_params"])
+    def test_failed_replace_keeps_previous_file(self, tmp_path, monkeypatch,
+                                                write):
+        path = tmp_path / "out"
+        path.write_bytes(b"previous contents")
+
+        def refuse(_src, _dst):
+            raise OSError("replace refused")
+        monkeypatch.setattr(os, "replace", refuse)
+        with pytest.raises(OSError, match="replace refused"):
+            write(path)
+        assert path.read_bytes() == b"previous contents"
+        assert os.listdir(tmp_path) == ["out"]  # no temporary file left
 
 
 class TestLoadMask:

@@ -6,8 +6,7 @@ import pytest
 
 from shadowstorm.attack import AttackConfig, pgd_attack
 from shadowstorm.imagecore import Image, Perturbation, ShadowMask
-from shadowstorm.metrics import (EmptyRegionError, MetricReport, dilate_mask,
-                                 metric_report, normalized_perturbation_map,
+from shadowstorm.metrics import (EmptyRegionError, normalized_perturbation_map,
                                  perturbation_norms, psnr, region_mse, ssim,
                                  ssim_map)
 from shadowstorm.models import model_gainmap
@@ -139,28 +138,6 @@ class TestSsim:
             ssim(x, y, ShadowMask(mask_data), "shadow")
 
 
-class TestDilation:
-    def test_zero_radius_no_op(self):
-        mask = checker_mask(6, 6)
-        assert np.array_equal(dilate_mask(mask.data, 0), mask.data.astype(bool))
-
-    def test_dilation_grows_region(self):
-        mask_data = np.zeros((9, 9), dtype=np.uint8)
-        mask_data[4, 4] = 1
-        grown = dilate_mask(mask_data, 1)
-        assert grown.sum() == 9
-        assert grown[3:6, 3:6].all()
-
-    def test_psnr_dilate_knob(self):
-        x, y = random_pair(15, shape=(8, 8, 1))
-        mask_data = np.zeros((8, 8), dtype=np.uint8)
-        mask_data[4, 4] = 1
-        mask = ShadowMask(mask_data)
-        base = psnr(x, y, mask, "shadow")
-        dilated = psnr(x, y, mask, "shadow", dilate=1)
-        assert base != dilated  # 9 pixels instead of 1
-
-
 class TestPerturbationNorms:
     def test_zero_delta(self):
         img, _ = random_pair(16)
@@ -215,19 +192,3 @@ class TestOnAttackOutputs:
         nmap = normalized_perturbation_map(result.perturbation, triplet.shadow)
         sel = triplet.mask.data.astype(bool)
         assert nmap[sel].mean() > nmap[~sel].mean()
-
-    def test_metric_report_fields(self):
-        triplet = gen_triplet(SynthConfig(seed=32, count=1, height=32,
-                                          width=32), 0)
-        config = AttackConfig(mode="adaptive", epsilon=8 / 255, iterations=5,
-                              seed=5)
-        model = model_gainmap()
-        result = pgd_attack(model, triplet.shadow, config)
-        report = metric_report(model.forward(triplet.shadow),
-                               model.forward(result.attacked_image),
-                               triplet.mask, result.perturbation,
-                               triplet.shadow)
-        assert isinstance(report, MetricReport)
-        assert report.psnr_all > 0
-        assert -1.0 <= report.ssim_all <= 1.0
-        assert report.linf_normalized <= 8 / 255 + 1e-9

@@ -3,10 +3,19 @@ import os
 import numpy as np
 import pytest
 
+from shadowstorm import autodiff as ad
 from shadowstorm.synthdata import (MANIFEST_NAME, SynthConfig, SynthDataError,
-                                   Triplet, TripletDirError, box_blur,
-                                   gen_dataset, gen_triplet, load_triplet_dir,
+                                   Triplet, TripletDirError, gen_dataset,
+                                   gen_triplet, load_triplet_dir,
                                    render_triplet, triplet_paths)
+
+
+def unit_tap_blur(arr, radius):
+    """The generator's soft-mask blur of a 2-D array: blur2d with unit taps,
+    divided by their count."""
+    size = 2 * radius + 1
+    taps = ad.blur2d(ad.Tensor(arr[:, :, np.newaxis]), np.ones((size, size)))
+    return taps.data[:, :, 0] / (size * size)
 
 
 class TestConfig:
@@ -42,7 +51,7 @@ class TestGenTriplet:
     def test_outside_soft_support_bit_exact(self):
         cfg = SynthConfig(seed=3, count=1, blur_radius=2)
         t = gen_triplet(cfg, 0)
-        soft = box_blur(t.mask.data.astype(float), cfg.blur_radius)
+        soft = unit_tap_blur(t.mask.data.astype(float), cfg.blur_radius)
         outside = soft == 0.0
         assert outside.any()
         assert np.array_equal(t.shadow.data[outside], t.shadow_free.data[outside])
@@ -160,12 +169,12 @@ class TestLoadTripletDir:
 class TestBoxBlur:
     def test_zero_radius_identity(self):
         arr = np.arange(12.0).reshape(3, 4)
-        assert np.array_equal(box_blur(arr, 0), arr)
+        assert np.array_equal(unit_tap_blur(arr, 0), arr)
 
     def test_preserves_unit_range_and_interior(self):
         mask = np.zeros((11, 11))
         mask[2:9, 2:9] = 1.0
-        soft = box_blur(mask, 2)
+        soft = unit_tap_blur(mask, 2)
         assert soft.min() >= 0.0 and soft.max() <= 1.0
         assert soft[5, 5] == pytest.approx(1.0)  # deep interior untouched
         assert 0.0 < soft[2, 2] < 1.0            # boundary softened
