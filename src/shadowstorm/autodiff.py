@@ -334,7 +334,12 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Tensor | None = None) -> Tensor:
 
 def blur2d(x: Tensor, kernel2d: np.ndarray) -> Tensor:
     """Depthwise blur with a fixed 2-D kernel (not differentiated), zero
-    padding to same size. Used for box/Gaussian smoothing inside models."""
+    padding to same size. Used for box/Gaussian smoothing inside models.
+
+    Forward and VJP shift-and-add one scaled copy per tap in row-major tap
+    order; the copy is scaled once per distinct tap value (a box kernel has
+    one), which leaves every product, and so every sum, as it would be with
+    one multiply per tap."""
     xd = x.data
     kern = np.asarray(kernel2d, dtype=np.float64)
     if xd.ndim != 3 or kern.ndim != 2:
@@ -348,19 +353,22 @@ def blur2d(x: Tensor, kernel2d: np.ndarray) -> Tensor:
     ph, pw = kh // 2, kw // 2
     padded = np.zeros((h + kh - 1, w + kw - 1, c))
     padded[ph:ph + h, pw:pw + w] = xd
+    taps, tap_of = np.unique(kern, return_inverse=True)
+    tap_of = tap_of.reshape(kern.shape)
+    scaled = [v * padded for v in taps]
     data = np.zeros_like(xd)
     for i in range(kh):
         for j in range(kw):
-            data += kern[i, j] * padded[i:i + h, j:j + w]
+            data += scaled[tap_of[i, j]][i:i + h, j:j + w]
 
     def build(out):
         def back():
             if x.requires_grad:
                 gpad = np.zeros_like(padded)
-                g = out.grad
+                scaled_grad = [v * out.grad for v in taps]
                 for i in range(kh):
                     for j in range(kw):
-                        gpad[i:i + h, j:j + w] += kern[i, j] * g
+                        gpad[i:i + h, j:j + w] += scaled_grad[tap_of[i, j]]
                 x._accumulate(gpad[ph:ph + h, pw:pw + w])
         return back
     return _make(data, (x,), build)

@@ -21,7 +21,7 @@ from dataclasses import dataclass, fields
 from .attack import AttackConfig, equivalent_uniform_budget, pgd_attack
 from .imagecore import Image, ShadowMask, write_atomic
 from .metrics import (REGION_NONSHADOW, REGION_SHADOW, perturbation_norms,
-                      psnr, ssim)
+                      psnr, region_ssim, ssim)
 from .models import DiffModel
 from .rng import derive_seed
 from .synthdata import Triplet
@@ -100,9 +100,7 @@ def region_metrics(reference: Image, test: Image,
     return (psnr(reference, test),
             psnr(reference, test, mask, REGION_SHADOW),
             psnr(reference, test, mask, REGION_NONSHADOW),
-            ssim(reference, test),
-            ssim(reference, test, mask, REGION_SHADOW),
-            ssim(reference, test, mask, REGION_NONSHADOW))
+            *region_ssim(reference, test, mask))
 
 
 def evaluate_cell(model: DiffModel, image_id: str, triplet: Triplet,

@@ -16,8 +16,8 @@ import numpy as np
 
 from . import bench, metrics
 from .attack import (AttackConfig, NonFiniteGradientError, pgd_attack)
-from .imagecore import (Image, PnmError, load_mask, load_pnm, save_pnm,
-                        write_atomic)
+from .imagecore import (Image, PnmError, ShadowMask, load_mask, load_pnm,
+                        save_pnm, write_atomic)
 from .models import (DivergenceError, ParamsError, load_params,
                      model_gainmap, model_identity, model_tinycnn,
                      model_tinycnn_from_params, probe_gradients, save_params,
@@ -84,6 +84,15 @@ def _check_ssim_size(image: Image, what: str) -> None:
             f"{metrics.SSIM_WINDOW}x{metrics.SSIM_WINDOW} SSIM window")
 
 
+def _check_mask(mask: ShadowMask, what: str) -> None:
+    """Every region column needs shadow and non-shadow pixels and window
+    centers, so a mask short of either fails before any attack."""
+    try:
+        metrics.check_mask(mask)
+    except metrics.EmptyRegionError as exc:
+        raise UsageError(f"{what}: {exc}") from None
+
+
 def _write_stretched(arr: np.ndarray, path) -> float:
     """Save |arr| linearly stretched to full range; returns the stretch factor."""
     peak = float(np.abs(arr).max())
@@ -108,9 +117,11 @@ def cmd_attack(args) -> int:
     mask = load_mask(args.mask) if args.mask else None
     free = load_pnm(args.free) if args.free else None
     _check_ssim_size(image, args.image)
-    if mask is not None and not mask.matches(image):
-        raise UsageError(f"mask {args.mask} is {mask.height}x{mask.width}, "
-                         f"image is {image.height}x{image.width}")
+    if mask is not None:
+        if not mask.matches(image):
+            raise UsageError(f"mask {args.mask} is {mask.height}x{mask.width}, "
+                             f"image is {image.height}x{image.width}")
+        _check_mask(mask, f"mask {args.mask}")
     if free is not None and free.shape != image.shape:
         raise UsageError(f"--free image has shape {free.shape}, "
                          f"image has {image.shape}")
@@ -120,8 +131,7 @@ def cmd_attack(args) -> int:
     model = load_model(args.model)
     result = pgd_attack(model, image, config)
 
-    # metrics before any write: a mask region they cannot use (no shadow
-    # pixels, say) fails with no artifact on disk
+    # metrics before any write, so a failure leaves no artifact on disk
     out_attacked = result.attacked_output
     norms = metrics.perturbation_norms(result.perturbation, image, args.floor)
     gt = ((float("nan"),) * 6 if free is None
@@ -156,6 +166,7 @@ def cmd_bench(args) -> int:
     triplets = load_triplet_dir(args.dataset)
     for index, triplet in triplets:
         _check_ssim_size(triplet.shadow, f"triplet {index:04d}")
+        _check_mask(triplet.mask, f"triplet {index:04d} mask")
     budgets = [parse_budget(b) for b in args.budgets.split(",")]
     if budgets != sorted(budgets):
         raise UsageError("budgets must be sorted ascending")

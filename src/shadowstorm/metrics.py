@@ -6,6 +6,10 @@ the standard 11x11 Gaussian window (sigma 1.5, truncated and renormalized)
 with K1 = 0.01, K2 = 0.03 on a dense per-pixel map; windows are 'valid'
 (fully inside the image) and each map pixel is assigned to a region by the
 mask value at its window center.
+
+:func:`region_ssim` gives the whole-image, shadow and non-shadow SSIM of one
+pair from a single map; :func:`check_mask` tells up front whether a mask
+leaves both regions something to measure.
 """
 
 from __future__ import annotations
@@ -45,11 +49,37 @@ def _region_select(mask: ShadowMask | None, region: str,
     if mask.data.shape != shape:
         raise ValueError(
             f"mask shape {mask.data.shape} does not match image shape {shape}")
+    shadow = _split(mask)
+    return shadow if region == REGION_SHADOW else ~shadow
+
+
+def _split(mask: ShadowMask) -> np.ndarray:
+    """Boolean shadow map; raises unless both regions hold pixels."""
     shadow = mask.data.astype(bool)
     if not shadow.any() or shadow.all():
         raise EmptyRegionError(
             "region metrics need both shadow and non-shadow pixels")
-    return shadow if region == REGION_SHADOW else ~shadow
+    return shadow
+
+
+def _window_centers(select: np.ndarray, region: str) -> np.ndarray:
+    """The part of an (H, W) region map at valid SSIM window centers, in
+    the layout of :func:`ssim_map`; raises if it holds none."""
+    margin = (SSIM_WINDOW - 1) // 2
+    height, width = select.shape
+    centers = select[margin:height - margin, margin:width - margin]
+    if not centers.any():
+        raise EmptyRegionError(
+            f"region {region!r} has no window centers inside the valid area")
+    return centers
+
+
+def check_mask(mask: ShadowMask) -> None:
+    """Raise EmptyRegionError unless the shadow and the non-shadow region
+    each hold pixels (for PSNR) and valid SSIM window centers (for SSIM)."""
+    shadow = _split(mask)
+    _window_centers(shadow, REGION_SHADOW)
+    _window_centers(~shadow, REGION_NONSHADOW)
 
 
 def _check_pair(x: Image, y: Image) -> None:
@@ -110,18 +140,26 @@ def ssim_map(x: Image, y: Image) -> np.ndarray:
     return num / den
 
 
+def _region_mean(smap: np.ndarray, shape: tuple[int, int],
+                 mask: ShadowMask | None, region: str) -> float:
+    """Mean of an SSIM map over the window centers of one region."""
+    centers = _window_centers(_region_select(mask, region, shape), region)
+    return float(np.mean(smap[centers]))
+
+
 def ssim(x: Image, y: Image, mask: ShadowMask | None = None,
          region: str = REGION_ALL) -> float:
     """Mean SSIM over the selected region (window-center membership)."""
+    return _region_mean(ssim_map(x, y), x.shape[:2], mask, region)
+
+
+def region_ssim(x: Image, y: Image,
+                mask: ShadowMask) -> tuple[float, float, float]:
+    """SSIM over all, shadow and non-shadow window centers, from one map;
+    each value equals the matching :func:`ssim` call bit for bit."""
     smap = ssim_map(x, y)
-    margin = (SSIM_WINDOW - 1) // 2
-    select = _region_select(mask, region, x.shape[:2])
-    centers = select[margin:margin + smap.shape[0],
-                     margin:margin + smap.shape[1]]
-    if not centers.any():
-        raise EmptyRegionError(
-            f"region {region!r} has no window centers inside the valid area")
-    return float(np.mean(smap[centers]))
+    return tuple(_region_mean(smap, x.shape[:2], mask, region)
+                 for region in _REGIONS)
 
 
 @dataclass(frozen=True)

@@ -16,9 +16,29 @@ State setup uses the splitmix64 sequence of Steele/Lea/Flood seeded with a
 
 all in 64-bit wrapping arithmetic. Floats in [0, 1) take the top 53 bits:
 ``(next_u64() >> 11) * 2.0**-53``.
+
+Array fills
+-----------
+:meth:`Xoshiro256StarStar.fill` draws n values as numpy lanes rather than
+one Python step at a time, and returns exactly the bits the scalar stream
+would. The transition above uses only xor, shifts and rotations, so it is
+linear over GF(2): the state k steps after s is the xor of the states k
+steps after each of s's set bits taken alone. With k = isqrt(n), a
+(256, 4) jump map (row 64*w + b: bit b of word w stepped k times) carries
+the state from one lane start to the next, giving ceil(n/k) lanes spaced k
+steps apart along the one stream. All lanes then step together k times
+through the same output and transition as ``next_u64``; read lane by lane
+and cut to n, they are the next n outputs of the stream in order, and the
+generator is left at the state n steps on, as if it had drawn them one by
+one. Jumping is the scheme of the generators' authors (Blackman and Vigna,
+"Scrambled linear pseudorandom number generators", 2018), here with a jump
+length chosen per fill.
 """
 
 from __future__ import annotations
+
+import functools
+import math
 
 import numpy as np
 
@@ -51,6 +71,38 @@ def derive_seed(seed: int, index: int) -> int:
     return out
 
 
+def _step(s):
+    """Advance the four state words `s` one xoshiro256** step in place and
+    return the output. The words are Python ints, or uint64 arrays whose
+    elements are independent states stepped together."""
+    result = (_rotl((s[1] * 5) & _MASK64, 7) * 9) & _MASK64
+    t = (s[1] << 17) & _MASK64
+    s[2] ^= s[0]
+    s[3] ^= s[1]
+    s[1] ^= s[2]
+    s[0] ^= s[3]
+    s[2] ^= t
+    s[3] = _rotl(s[3], 45)
+    return result
+
+
+@functools.lru_cache(maxsize=16)
+def _jump_map(k: int) -> np.ndarray:
+    """(256, 4) uint64: row 64*w + b is the state k steps after the state
+    with only bit b of word w set. Cached per k, so returned read-only."""
+    bit = np.arange(256)
+    words = np.zeros((4, 256), dtype=np.uint64)
+    words[bit // 64, bit] = np.uint64(1) << (bit % 64).astype(np.uint64)
+    for _ in range(k):
+        _step(words)
+    jump = np.ascontiguousarray(words.T)
+    jump.flags.writeable = False
+    return jump
+
+
+_BIT_SHIFTS = np.arange(64, dtype=np.uint64)
+
+
 class Xoshiro256StarStar:
     """xoshiro256** generator with splitmix64 seeding."""
 
@@ -65,16 +117,7 @@ class Xoshiro256StarStar:
         self._s = state
 
     def next_u64(self) -> int:
-        s = self._s
-        result = (_rotl((s[1] * 5) & _MASK64, 7) * 9) & _MASK64
-        t = (s[1] << 17) & _MASK64
-        s[2] ^= s[0]
-        s[3] ^= s[1]
-        s[1] ^= s[2]
-        s[0] ^= s[3]
-        s[2] ^= t
-        s[3] = _rotl(s[3], 45)
-        return result
+        return _step(self._s)
 
     def random(self) -> float:
         """Uniform float in [0, 1) with 53 bits of precision."""
@@ -90,12 +133,29 @@ class Xoshiro256StarStar:
         return low + int(self.random() * span)
 
     def fill(self, shape) -> np.ndarray:
-        """Array of uniform [0, 1) floats in C order."""
+        """Array of uniform [0, 1) floats in C order: the next n values of
+        :meth:`random`, bit for bit, drawn in lanes (see the module notes)."""
         n = int(np.prod(shape))
-        out = np.empty(n, dtype=np.float64)
-        for i in range(n):
-            out[i] = (self.next_u64() >> 11) * 2.0 ** -53
-        return out.reshape(shape)
+        if n == 0:
+            return np.empty(shape, dtype=np.float64)
+        k = math.isqrt(n)
+        lanes = -(-n // k)
+        jump = _jump_map(k)
+        starts = np.empty((lanes, 4), dtype=np.uint64)
+        starts[0] = self._s
+        for lane in range(1, lanes):
+            bits = (starts[lane - 1, :, None] >> _BIT_SHIFTS) & 1
+            starts[lane] = np.bitwise_xor.reduce(
+                jump[bits.astype(bool).ravel()], axis=0)
+        words = np.ascontiguousarray(starts.T)
+        draws = np.empty((k, lanes), dtype=np.uint64)
+        last_steps = n - (lanes - 1) * k
+        for step in range(k):
+            draws[step] = _step(words)
+            if step + 1 == last_steps:
+                self._s = [int(w) for w in words[:, -1]]
+        u = draws.T.ravel()[:n]
+        return ((u >> 11) * 2.0 ** -53).reshape(shape)
 
     def fill_uniform(self, shape, low: float, high: float) -> np.ndarray:
         return low + (high - low) * self.fill(shape)

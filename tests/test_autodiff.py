@@ -62,6 +62,40 @@ class TestBasics:
         assert np.allclose(g.grad[:, :, 0], x.data.sum(axis=2))
 
 
+def per_tap_blur(x, kern, cotangent):
+    """Reference blur2d forward and VJP with one multiply per tap."""
+    kh, kw = kern.shape
+    h, w, c = x.shape
+    ph, pw = kh // 2, kw // 2
+    padded = np.zeros((h + kh - 1, w + kw - 1, c))
+    padded[ph:ph + h, pw:pw + w] = x
+    out = np.zeros_like(x)
+    gpad = np.zeros_like(padded)
+    for i in range(kh):
+        for j in range(kw):
+            out += kern[i, j] * padded[i:i + h, j:j + w]
+            gpad[i:i + h, j:j + w] += kern[i, j] * cotangent
+    return out, gpad[ph:ph + h, pw:pw + w]
+
+
+class TestBlur2dBytes:
+    @pytest.mark.parametrize("kern", [
+        ad.box_kernel(2),
+        np.array([[0.05, 0.10, 0.02],
+                  [0.20, 0.30, 0.07],
+                  [0.01, 0.15, 0.10]])], ids=["box", "asymmetric"])
+    def test_matches_per_tap_loop(self, kern):
+        rng = Xoshiro256StarStar(21)
+        x = rng.fill_uniform((9, 7, 3), -1.0, 1.0)
+        cotangent = rng.fill_uniform((9, 7, 3), -1.0, 1.0)
+        leaf = Tensor(x, requires_grad=True)
+        out = ad.blur2d(leaf, kern)
+        ad.tsum(ad.mul(out, Tensor(cotangent))).backward()
+        ref_out, ref_grad = per_tap_blur(x, kern, cotangent)
+        assert out.data.tobytes() == ref_out.tobytes()
+        assert leaf.grad.tobytes() == ref_grad.tobytes()
+
+
 class TestErrors:
     def test_shape_mismatch_names_shapes_and_primitive(self):
         with pytest.raises(ShapeMismatchError, match=r"add.*\(2,\).*\(3,\)"):

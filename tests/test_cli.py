@@ -18,6 +18,29 @@ def forbid_model_load(monkeypatch):
     monkeypatch.setattr(cli, "load_model", load_model)
 
 
+def forbid_attack(monkeypatch):
+    from shadowstorm import bench
+
+    def pgd_attack(*_args, **_kwargs):
+        pytest.fail("an attack ran before the inputs were validated")
+    forbid_model_load(monkeypatch)
+    monkeypatch.setattr(cli, "pgd_attack", pgd_attack)
+    monkeypatch.setattr(bench, "pgd_attack", pgd_attack)
+
+
+def degenerate_mask(kind, size=32):
+    """A mask that leaves one region without pixels or window centers."""
+    data = np.ones((size, size), dtype=np.uint8)
+    if kind == "no-shadow":
+        data[:] = 0
+    elif kind == "border-only":
+        data[5:-5, 5:-5] = 0  # shadow at no valid SSIM window center
+    return ShadowMask(data)
+
+
+DEGENERATE_MASKS = ("no-shadow", "all-shadow", "border-only")
+
+
 @pytest.fixture(scope="module")
 def dataset_dir(tmp_path_factory):
     path = tmp_path_factory.mktemp("data")
@@ -115,18 +138,20 @@ class TestAttack:
         assert main(argv + ["--out-prefix", str(out / "x")]) == 2
         assert os.listdir(out) == []
 
-    def test_mask_without_shadow_usage_error_before_any_write(
-            self, dataset_dir, tmp_path):
-        save_mask(ShadowMask(np.zeros((32, 32), dtype=np.uint8)),
-                  tmp_path / "none.pgm")
+    @pytest.mark.parametrize("kind", DEGENERATE_MASKS)
+    def test_degenerate_mask_usage_error_before_any_work(
+            self, dataset_dir, tmp_path, monkeypatch, capsys, kind):
+        save_mask(degenerate_mask(kind), tmp_path / "mask.pgm")
         out = tmp_path / "out"
         out.mkdir()
+        forbid_attack(monkeypatch)
         rc = main(["attack", "--mode", "uniform", "--eps", "4/255",
                    "--iters", "1",
                    "--image", str(dataset_dir / "shadow_0000.ppm"),
-                   "--mask", str(tmp_path / "none.pgm"),
+                   "--mask", str(tmp_path / "mask.pgm"),
                    "--out-prefix", str(out / "x")])
         assert rc == 2
+        assert "mask.pgm" in capsys.readouterr().err
         assert os.listdir(out) == []
 
     def test_missing_image_is_io_error(self, tmp_path):
@@ -241,6 +266,25 @@ class TestBench:
         rc = main(["bench", "--dataset", str(small),
                    "--out", str(out / "x.csv")])
         assert rc == 2
+        assert os.listdir(out) == []
+
+    @pytest.mark.parametrize("kind", DEGENERATE_MASKS)
+    def test_degenerate_mask_usage_error_before_any_work(
+            self, dataset_dir, tmp_path, monkeypatch, capsys, kind):
+        data = tmp_path / "data"
+        data.mkdir()
+        for index in (0, 1):
+            for name in (f"shadow_{index:04d}.ppm", f"free_{index:04d}.ppm",
+                         f"mask_{index:04d}.pgm"):
+                (data / name).write_bytes((dataset_dir / name).read_bytes())
+        save_mask(degenerate_mask(kind), data / "mask_0001.pgm")
+        out = tmp_path / "out"
+        out.mkdir()
+        forbid_attack(monkeypatch)
+        rc = main(["bench", "--dataset", str(data),
+                   "--out", str(out / "x.csv")])
+        assert rc == 2
+        assert "triplet 0001" in capsys.readouterr().err
         assert os.listdir(out) == []
 
     def test_threaded_sweep_leaves_parameters_untouched(self, dataset_dir):

@@ -6,9 +6,10 @@ import pytest
 
 from shadowstorm.attack import AttackConfig, pgd_attack
 from shadowstorm.imagecore import Image, Perturbation, ShadowMask
-from shadowstorm.metrics import (EmptyRegionError, normalized_perturbation_map,
-                                 perturbation_norms, psnr, region_mse, ssim,
-                                 ssim_map)
+from shadowstorm.metrics import (EmptyRegionError, check_mask,
+                                 normalized_perturbation_map,
+                                 perturbation_norms, psnr, region_mse,
+                                 region_ssim, ssim, ssim_map)
 from shadowstorm.models import model_gainmap
 from shadowstorm.rng import Xoshiro256StarStar
 from shadowstorm.synthdata import SynthConfig, gen_triplet
@@ -129,6 +130,26 @@ class TestSsim:
         assert s_shadow == pytest.approx(float(smap[centers].mean()), abs=1e-12)
         assert s_nonshadow == pytest.approx(float(smap[~centers].mean()), abs=1e-12)
         assert s_all == pytest.approx(float(smap.mean()), abs=1e-12)
+
+    def test_region_ssim_equals_three_ssim_calls(self):
+        for seed, shape in ((15, (22, 22, 1)), (16, (40, 36, 3))):
+            x, y = random_pair(seed, shape=shape)
+            mask = checker_mask(*shape[:2])
+            expected = (ssim(x, y), ssim(x, y, mask, "shadow"),
+                        ssim(x, y, mask, "nonshadow"))
+            got = region_ssim(x, y, mask)
+            assert np.array(got).tobytes() == np.array(expected).tobytes()
+
+    def test_check_mask_needs_pixels_and_window_centers(self):
+        check_mask(checker_mask(16, 16))
+        border = np.ones((16, 16), dtype=np.uint8)
+        border[5:-5, 5:-5] = 0  # shadow only where no window is centered
+        for data, match in ((np.zeros((16, 16)), "both shadow"),
+                            (np.ones((16, 16)), "both shadow"),
+                            (border, "'shadow' has no window centers"),
+                            (1 - border, "'nonshadow' has no window centers")):
+            with pytest.raises(EmptyRegionError, match=match):
+                check_mask(ShadowMask(data.astype(np.uint8)))
 
     def test_region_fully_outside_valid_area_rejected(self):
         x, y = random_pair(14, shape=(16, 16, 1))

@@ -50,11 +50,33 @@ def test_uniform_respects_bounds():
 
 
 def test_fill_matches_scalar_draws():
+    # the lane fill must give the scalar stream's bytes and leave the
+    # generator where the scalar draws would
+    sizes = (0, 1, 2, 3, 15, 16, 17, 97, 216, 40 * 36 * 3, 256 * 256 * 3)
+    for seed in (0, 5, 2**64 - 1):
+        for n in sizes:
+            a = Xoshiro256StarStar(seed)
+            b = Xoshiro256StarStar(seed)
+            arr = a.fill((n,))
+            scalars = np.array([b.random() for _ in range(n)])
+            assert arr.tobytes() == scalars.tobytes(), (seed, n)
+            assert a.next_u64() == b.next_u64(), (seed, n)
     a = Xoshiro256StarStar(5)
     b = Xoshiro256StarStar(5)
     arr = a.fill((3, 4))
     scalars = np.array([b.random() for _ in range(12)]).reshape(3, 4)
-    assert np.array_equal(arr, scalars)
+    assert arr.shape == (3, 4)
+    assert arr.tobytes() == scalars.tobytes()
+
+
+def test_consecutive_fills_continue_one_stream():
+    a = Xoshiro256StarStar(2**64 - 1)
+    b = Xoshiro256StarStar(2**64 - 1)
+    shapes = ((1,), (3, 3, 3, 8), (97,), (), (0,), (40, 36, 3), (5, 2))
+    filled = np.concatenate([a.fill(shape).ravel() for shape in shapes])
+    scalars = np.array([b.random() for _ in range(filled.size)])
+    assert filled.tobytes() == scalars.tobytes()
+    assert a.next_u64() == b.next_u64()
 
 
 def test_randint_inclusive_range():
