@@ -151,10 +151,11 @@ def _step_size(image: Image, config: AttackConfig) -> np.ndarray | float:
 
 def pgd_attack(model: DiffModel, image: Image, config: AttackConfig,
                on_iteration: Callable[[int, np.ndarray], None] | None = None,
-               ) -> AttackResult:
+               anchor: Image | None = None) -> AttackResult:
     """Run the projected sign-gradient attack.
 
-    The clean output anchor f(I) is computed once and held fixed. Each
+    The clean output anchor f(I) is held fixed; it is computed here unless
+    `anchor` gives it, as a caller attacking one image many times does. Each
     iteration runs one model pass (``vjp``) at the current delta, evaluates
     the objective (recorded in the trace), pulls its gradient back to the
     input, takes an ascent step of sign(gradient) scaled by the step size,
@@ -168,7 +169,8 @@ def pgd_attack(model: DiffModel, image: Image, config: AttackConfig,
         log.warning("budget box is degenerate (no coordinate can move); "
                     "the attack will return delta = 0")
     delta = np.array(init_delta(box, config.seed).data)
-    anchor = model.forward(image)
+    if anchor is None:
+        anchor = model.forward(image)
     step = _step_size(image, config)
 
     trace: list[float] = []

@@ -74,17 +74,16 @@ class Tensor:
             self.grad = np.zeros_like(self.data)
         self.grad += g
 
-    def backward(self, seed: np.ndarray | None = None,
-                 release: bool = False) -> None:
+    def backward(self, seed: np.ndarray | None = None) -> None:
         """Backpropagate from this tensor.
 
         Without `seed` this tensor must be scalar (the loss) and is seeded
         with 1.0. With `seed` (an array matching this tensor's shape) the
         call computes the corresponding vector-Jacobian product instead.
         A tape can only be walked once; build a fresh graph to re-derive.
-        With `release` every walked node drops its backward closure and
-        parents afterwards; each closure refers to its own node, so without
-        that the tape lives until the next cyclic garbage collection.
+        Every walked node drops its backward closure and parents afterwards:
+        each closure refers to its own node, so the tape would otherwise
+        live until the next cyclic garbage collection.
         """
         if self._backward_done:
             raise RuntimeError("backward called twice on the same tape; "
@@ -127,9 +126,8 @@ class Tensor:
         for node in topo:
             if node.requires_grad and node.grad is None:
                 node.grad = np.zeros_like(node.data)
-            if release:
-                node._backward = None
-                node._parents = ()
+            node._backward = None
+            node._parents = ()
 
 
 def _make(data: np.ndarray, parents: tuple[Tensor, ...],
@@ -281,7 +279,26 @@ def sqnorm(a: Tensor) -> Tensor:
 
 def conv2d(x: Tensor, kernel: Tensor, bias: Tensor | None = None) -> Tensor:
     """Spatial convolution (cross-correlation), stride 1, zero padding to
-    same size. x: (H, W, Cin); kernel: (kh, kw, Cin, Cout); bias: (Cout,)."""
+    same size. x: (H, W, Cin); kernel: (kh, kw, Cin, Cout); bias: (Cout,).
+
+    The zero-padded image is one C-ordered (H + kh - 1, wp, Cin) array,
+    wp = W + kw - 1, read as a flat list of pixels. Tap (i, j) sees all
+    outputs as one contiguous block of that list, starting at pixel
+    i * wp + j, so each tap is one matrix product and copies no slice. The
+    block runs in rows of width wp; the kw - 1 extra columns per output
+    row are computed and dropped. The input VJP widens the cotangent by
+    zero columns and scatters it at the same offsets.
+
+    The bits are those of a product per tap over its (H, W) window: each
+    output element is the same Cin-long (Cout-long in the input VJP) dot
+    product, added into a +0.0 accumulator in row-major tap order, and the
+    zero columns add only +-0.0, which changes no accumulator. This needs
+    BLAS to round a dot product the same whatever the length of its block
+    (with one output the block is one row, like the window); OpenBLAS does
+    for the zoo's layers, but a single output column (Cout = 1, or Cin = 1
+    in the input VJP) takes a matrix-vector kernel whose rounding follows
+    the row's position. The kernel and bias VJPs reduce over the H * W
+    window positions only."""
     xd, kd = x.data, kernel.data
     if xd.ndim != 3 or kd.ndim != 4 or xd.shape[2] != kd.shape[2]:
         raise ShapeMismatchError(
@@ -296,16 +313,20 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Tensor | None = None) -> Tensor:
         raise ShapeMismatchError(
             f"conv2d: bias shape {bias.data.shape} does not match {cout} outputs")
 
-    padded = np.zeros((h + kh - 1, w + kw - 1, xd.shape[2]))
+    hp, wp = h + kh - 1, w + kw - 1
     ph, pw = kh // 2, kw // 2
+    padded = np.zeros((hp, wp, xd.shape[2]))
     padded[ph:ph + h, pw:pw + w] = xd
-    data = np.zeros((h, w, cout))
+    flat = padded.reshape(hp * wp, -1)
+    rows = (h - 1) * wp + w  # output (0, 0) through (h - 1, w - 1)
+    acc = np.zeros((h * wp, cout))
     for i in range(kh):
         for j in range(kw):
-            data += np.tensordot(padded[i:i + h, j:j + w], kd[i, j],
-                                 axes=([2], [0]))
+            start = i * wp + j
+            acc[:rows] += flat[start:start + rows] @ kd[i, j]
+    data = acc.reshape(h, wp, cout)[:, :w]
     if bias is not None:
-        data += bias.data
+        data = data + bias.data
 
     parents = (x, kernel) if bias is None else (x, kernel, bias)
 
@@ -313,11 +334,15 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Tensor | None = None) -> Tensor:
         def back():
             g = out.grad
             if x.requires_grad:
+                gext = np.zeros((h, wp, cout))
+                gext[:, :w] = g
+                gext = gext.reshape(-1, cout)[:rows]
                 gpad = np.zeros_like(padded)
+                gflat = gpad.reshape(hp * wp, -1)
                 for i in range(kh):
                     for j in range(kw):
-                        gpad[i:i + h, j:j + w] += np.tensordot(
-                            g, kd[i, j], axes=([2], [1]))
+                        start = i * wp + j
+                        gflat[start:start + rows] += gext @ kd[i, j].T
                 x._accumulate(gpad[ph:ph + h, pw:pw + w])
             if kernel.requires_grad:
                 gk = np.empty_like(kd)

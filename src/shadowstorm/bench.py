@@ -104,10 +104,11 @@ def region_metrics(reference: Image, test: Image,
 
 
 def evaluate_cell(model: DiffModel, image_id: str, triplet: Triplet,
-                  mode: str, epsilon_nominal: float, *, equalize: bool,
-                  iterations: int, step_divisor: float, seed: int,
-                  floor: float, timing: bool = False) -> ResultRow:
-    """Attack one image at one budget and measure everything."""
+                  mode: str, epsilon_nominal: float, *, anchor: Image,
+                  equalize: bool, iterations: int, step_divisor: float,
+                  seed: int, floor: float, timing: bool = False) -> ResultRow:
+    """Attack one image at one budget and measure everything; `anchor` is
+    the model's clean output on the image."""
     started = time.perf_counter() if timing else 0.0
     epsilon = epsilon_nominal
     if mode == "uniform" and equalize:
@@ -116,7 +117,7 @@ def evaluate_cell(model: DiffModel, image_id: str, triplet: Triplet,
                           step_divisor=step_divisor,
                           seed=cell_seed(seed, image_id, mode, epsilon_nominal),
                           intensity_floor=floor)
-    result = pgd_attack(model, triplet.shadow, config)
+    result = pgd_attack(model, triplet.shadow, config, anchor=anchor)
     out_attacked = result.attacked_output
     gt = region_metrics(triplet.shadow_free, out_attacked, triplet.mask)
     clean = region_metrics(result.clean_output, out_attacked, triplet.mask)
@@ -150,13 +151,20 @@ def run_sweep(model: DiffModel, triplets: list[tuple[int, Triplet]],
         (f"{index:04d}", mode, eps)
         for index, _ in triplets for mode in sorted(modes) for eps in budgets)
     by_id = {f"{index:04d}": triplet for index, triplet in triplets}
+    # the clean output is the same for every cell of an image; a failure
+    # message in its place fails each of them
+    anchors = {image_id: _guard(model.forward, triplet.shadow)
+               for image_id, triplet in by_id.items()}
 
     def run_one(cell):
         image_id, mode, eps = cell
+        anchor = anchors[image_id]
+        if isinstance(anchor, str):
+            return anchor
         return evaluate_cell(model, image_id, by_id[image_id], mode, eps,
-                             equalize=equalize, iterations=iterations,
-                             step_divisor=step_divisor, seed=seed,
-                             floor=floor, timing=timing)
+                             anchor=anchor, equalize=equalize,
+                             iterations=iterations, step_divisor=step_divisor,
+                             seed=seed, floor=floor, timing=timing)
 
     rows: list[ResultRow] = []
     failures: list[SweepFailure] = []
@@ -173,9 +181,9 @@ def run_sweep(model: DiffModel, triplets: list[tuple[int, Triplet]],
     return rows, failures
 
 
-def _guard(fn, cell):
+def _guard(fn, arg):
     try:
-        return fn(cell)
+        return fn(arg)
     except Exception as exc:  # recorded per cell; sweep must go on
         return f"{type(exc).__name__}: {exc}"
 

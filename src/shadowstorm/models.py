@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import functools
 import logging
+import math
 import struct
 from typing import Callable, Mapping, Protocol, Sequence
 
@@ -72,8 +73,7 @@ class TapeModel:
         out = self.forward_t(leaf)
 
         def pullback(cotangent: np.ndarray) -> np.ndarray:
-            # free the tape now, not at the next cyclic garbage collection
-            out.backward(cotangent, release=True)
+            out.backward(cotangent)
             if leaf.grad is None:
                 return np.zeros_like(leaf.data)
             return leaf.grad
@@ -335,7 +335,7 @@ def load_params(path) -> dict[str, np.ndarray]:
             pos += 4
             shape = struct.unpack_from(f"<{rank}I", raw, pos)
             pos += 4 * rank
-            n_bytes = int(np.prod(shape, dtype=np.int64)) * 8
+            n_bytes = math.prod(shape) * 8
             payload = raw[pos:pos + n_bytes]
             if len(payload) < n_bytes:
                 raise struct.error

@@ -96,6 +96,55 @@ class TestBlur2dBytes:
         assert leaf.grad.tobytes() == ref_grad.tobytes()
 
 
+def per_tap_conv(x, kernel, bias, cotangent):
+    """Reference conv2d forward and VJPs with one product per tap window."""
+    h, w, cin = x.shape
+    kh, kw, _, cout = kernel.shape
+    ph, pw = kh // 2, kw // 2
+    padded = np.zeros((h + kh - 1, w + kw - 1, cin))
+    padded[ph:ph + h, pw:pw + w] = x
+    out = np.zeros((h, w, cout))
+    gpad = np.zeros_like(padded)
+    gk = np.empty_like(kernel)
+    for i in range(kh):
+        for j in range(kw):
+            window = padded[i:i + h, j:j + w]
+            out += np.tensordot(window, kernel[i, j], axes=([2], [0]))
+            gpad[i:i + h, j:j + w] += np.tensordot(
+                cotangent, kernel[i, j], axes=([2], [1]))
+            gk[i, j] = np.tensordot(window, cotangent, axes=([0, 1], [0, 1]))
+    if bias is not None:
+        out += bias
+    return (out, gpad[ph:ph + h, pw:pw + w], gk,
+            cotangent.sum(axis=(0, 1)))
+
+
+class TestConv2dBytes:
+    @pytest.mark.parametrize("h,w,cin,cout,kh,kw,with_bias", [
+        (9, 7, 3, 8, 3, 3, True), (5, 12, 8, 3, 5, 3, False),
+        (6, 4, 1, 2, 1, 1, True), (1, 1, 3, 8, 3, 3, True),
+        (64, 64, 8, 8, 3, 3, True)])
+    def test_matches_per_tap_loop(self, h, w, cin, cout, kh, kw, with_bias):
+        rng = Xoshiro256StarStar(22)
+        x = rng.fill_uniform((h, w, cin), -1.0, 1.0)
+        kernel = rng.fill_uniform((kh, kw, cin, cout), -1.0, 1.0)
+        bias = rng.fill_uniform((cout,), -1.0, 1.0) if with_bias else None
+        cotangent = rng.fill_uniform((h, w, cout), -1.0, 1.0)
+        cotangent[:(h + 1) // 2, :(w + 1) // 2] = 0.0
+        leaf = Tensor(x, requires_grad=True)
+        kt = Tensor(kernel, requires_grad=True)
+        bt = Tensor(bias, requires_grad=True) if with_bias else None
+        out = ad.conv2d(leaf, kt, bt)
+        out.backward(cotangent)
+        ref_out, ref_grad, ref_gk, ref_gb = per_tap_conv(
+            x, kernel, bias, cotangent)
+        assert out.data.tobytes() == ref_out.tobytes()
+        assert leaf.grad.tobytes() == ref_grad.tobytes()
+        assert kt.grad.tobytes() == ref_gk.tobytes()
+        if with_bias:
+            assert bt.grad.tobytes() == ref_gb.tobytes()
+
+
 class TestErrors:
     def test_shape_mismatch_names_shapes_and_primitive(self):
         with pytest.raises(ShapeMismatchError, match=r"add.*\(2,\).*\(3,\)"):

@@ -207,10 +207,73 @@ class TestBench:
         base = ["bench", "--dataset", str(dataset_dir), "--model", "gainmap",
                 "--budgets", "2/255,4/255", "--modes", "uniform,adaptive",
                 "--iters", "2"]
-        s1, s4 = tmp_path / "s1.csv", tmp_path / "s4.csv"
-        assert main(base + ["--jobs", "1", "--out", str(s1)]) == 0
-        assert main(base + ["--jobs", "4", "--out", str(s4)]) == 0
-        assert s1.read_bytes() == s4.read_bytes()
+        outputs = []
+        for jobs in ("1", "2", "4"):
+            csv = tmp_path / f"s{jobs}.csv"
+            assert main(base + ["--jobs", jobs, "--out", str(csv)]) == 0
+            outputs.append((csv.read_bytes(),
+                            (tmp_path / f"s{jobs}.plot").read_bytes()))
+        assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
+
+    def test_clean_anchor_once_per_image(self, dataset_dir):
+        # per image one clean forward; per cell one forward of the attacked
+        # image, which the attack hands back as its attacked output
+        from shadowstorm import bench
+        from shadowstorm.models import model_identity
+        from shadowstorm.synthdata import load_triplet_dir
+
+        class CountingModel:
+            name = "counting"
+            inner = model_identity()
+            forwards = 0
+
+            def forward(self, image):
+                CountingModel.forwards += 1
+                return self.inner.forward(image)
+
+            def vjp(self, image):
+                return self.inner.vjp(image)
+
+        triplets = load_triplet_dir(dataset_dir)[:2]
+        rows, failures = bench.run_sweep(
+            CountingModel(), triplets, [2 / 255, 4 / 255],
+            ["uniform", "adaptive"], iterations=2)
+        assert len(rows) == 8 and not failures
+        assert CountingModel.forwards == 2 + 8
+
+    def test_failed_clean_forward_fails_each_cell_of_its_image(
+            self, dataset_dir, tmp_path):
+        from shadowstorm import bench
+        from shadowstorm.models import model_identity
+        from shadowstorm.synthdata import load_triplet_dir
+
+        triplets = load_triplet_dir(dataset_dir)
+        broken = triplets[1][1].shadow
+
+        class BrokenAnchorModel:
+            name = "broken-anchor"
+            inner = model_identity()
+
+            def forward(self, image):
+                if image is broken:
+                    raise RuntimeError("synthetic breakage")
+                return self.inner.forward(image)
+
+            def vjp(self, image):
+                return self.inner.vjp(image)
+
+        rows, failures = bench.run_sweep(
+            BrokenAnchorModel(), triplets, [2 / 255, 4 / 255],
+            ["uniform", "adaptive"], iterations=2, jobs=2)
+        assert len(rows) == 8
+        assert [(f.image_id, f.mode, f.epsilon_nominal) for f in failures] \
+            == [("0001", mode, eps) for mode in ("adaptive", "uniform")
+                for eps in (2 / 255, 4 / 255)]
+        assert all(f.error == "RuntimeError: synthetic breakage"
+                   for f in failures)
+        out = tmp_path / "broken.csv"
+        bench.write_csv(out, rows, failures)
+        assert sum(l.startswith("# failed 0001") for l in open(out)) == 4
 
     def test_equalize_effective_epsilon(self, dataset_dir, tmp_path):
         # the row value matches the independent mean recomputation to 1e-12;
@@ -362,11 +425,17 @@ class TestGradcheckCommand:
         rc = main(["gradcheck", "--model", str(bad), "--inputs", "1"])
         assert rc == 3
 
-    def test_invalid_utf8_tensor_name_io_error(self, tmp_path):
-        bad = tmp_path / "bad_name.sspm"
+    @pytest.mark.parametrize("name,shape", [
+        (b"\xff", (1,)),
+        # 2**94 elements: a count in int64 would wrap to 0
+        (b"k1", (2**31, 2**31, 2**31, 2))], ids=["bad-utf8-name",
+                                                 "shape-overflows-int64"])
+    def test_malformed_tensor_io_error(self, tmp_path, name, shape):
+        bad = tmp_path / "bad.sspm"
         bad.write_bytes(PARAMS_MAGIC + struct.pack("<II", 1, 1)
-                        + struct.pack("<I", 1) + b"\xff"
-                        + struct.pack("<II", 1, 1) + struct.pack("<d", 0.5))
+                        + struct.pack("<I", len(name)) + name
+                        + struct.pack(f"<{len(shape) + 1}I", len(shape), *shape)
+                        + struct.pack("<d", 0.5))
         rc = main(["gradcheck", "--model", str(bad), "--inputs", "1"])
         assert rc == 3
 

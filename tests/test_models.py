@@ -159,11 +159,10 @@ class TestVjp:
         img = random_image(41, shape=(8, 8, 3))
         gc.disable()
         try:
-            # a plain backward leaves the node <-> closure cycles standing
             out = Probe().forward_t(Tensor(img.data, requires_grad=True))
-            out.backward(np.ones(img.shape))
-            del out
             assert Probe.hidden() is not None
+            out.backward(np.ones(img.shape))
+            assert Probe.hidden() is None
 
             _, pullback = Probe().vjp(img)
             assert Probe.hidden() is not None
