@@ -21,6 +21,7 @@ Gradient conventions (documented because they matter for attacks):
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 from typing import Callable
 
 import numpy as np
@@ -54,7 +55,7 @@ class Tensor:
                  "_backward_done", "__weakref__")
 
     def __init__(self, data, requires_grad: bool = False, _parents=(),
-                 _backward: Callable[[], None] | None = None):
+                 _backward: Callable[[np.ndarray], None] | None = None):
         self.data = np.asarray(data, dtype=np.float64)
         self.requires_grad = requires_grad
         self.grad: np.ndarray | None = None
@@ -82,8 +83,8 @@ class Tensor:
         call computes the corresponding vector-Jacobian product instead.
         A tape can only be walked once; build a fresh graph to re-derive.
         Every walked node drops its backward closure and parents afterwards:
-        each closure refers to its own node, so the tape would otherwise
-        live until the next cyclic garbage collection.
+        a model's pullback still holds its output node, which would
+        otherwise keep the whole tape alive as long as the pullback.
         """
         if self._backward_done:
             raise RuntimeError("backward called twice on the same tape; "
@@ -122,7 +123,7 @@ class Tensor:
         for node in reversed(topo):
             # a backward rule may leave a parent without any contribution
             if node._backward is not None and node.grad is not None:
-                node._backward()
+                node._backward(node.grad)
         for node in topo:
             if node.requires_grad and node.grad is None:
                 node.grad = np.zeros_like(node.data)
@@ -131,106 +132,86 @@ class Tensor:
 
 
 def _make(data: np.ndarray, parents: tuple[Tensor, ...],
-          backward_builder) -> Tensor:
-    """Create an op output; records the tape only if some parent needs grad."""
-    requires = any(p.requires_grad for p in parents)
-    if not requires:
+          back: Callable[[np.ndarray], None]) -> Tensor:
+    """Create an op output; records the tape, with `back(g)` as its rule,
+    only if some parent needs grad, so a one-parent rule may assume it does."""
+    if not any(p.requires_grad for p in parents):
         return Tensor(data)
-    out = Tensor(data, requires_grad=True, _parents=parents)
-    out._backward = backward_builder(out)
-    return out
+    return Tensor(data, requires_grad=True, _parents=parents, _backward=back)
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
     _shape_check("add", a.data, b.data)
     data = a.data + b.data
 
-    def build(out):
-        def back():
-            if a.requires_grad:
-                a._accumulate(_unbroadcast(out.grad, a.data.shape))
-            if b.requires_grad:
-                b._accumulate(_unbroadcast(out.grad, b.data.shape))
-        return back
-    return _make(data, (a, b), build)
+    def back(g):
+        if a.requires_grad:
+            a._accumulate(_unbroadcast(g, a.data.shape))
+        if b.requires_grad:
+            b._accumulate(_unbroadcast(g, b.data.shape))
+    return _make(data, (a, b), back)
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
     _shape_check("sub", a.data, b.data)
     data = a.data - b.data
 
-    def build(out):
-        def back():
-            if a.requires_grad:
-                a._accumulate(_unbroadcast(out.grad, a.data.shape))
-            if b.requires_grad:
-                b._accumulate(_unbroadcast(-out.grad, b.data.shape))
-        return back
-    return _make(data, (a, b), build)
+    def back(g):
+        if a.requires_grad:
+            a._accumulate(_unbroadcast(g, a.data.shape))
+        if b.requires_grad:
+            b._accumulate(_unbroadcast(-g, b.data.shape))
+    return _make(data, (a, b), back)
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
     _shape_check("mul", a.data, b.data)
     data = a.data * b.data
 
-    def build(out):
-        def back():
-            if a.requires_grad:
-                a._accumulate(_unbroadcast(out.grad * b.data, a.data.shape))
-            if b.requires_grad:
-                b._accumulate(_unbroadcast(out.grad * a.data, b.data.shape))
-        return back
-    return _make(data, (a, b), build)
+    def back(g):
+        if a.requires_grad:
+            a._accumulate(_unbroadcast(g * b.data, a.data.shape))
+        if b.requires_grad:
+            b._accumulate(_unbroadcast(g * a.data, b.data.shape))
+    return _make(data, (a, b), back)
 
 
 def div(a: Tensor, b: Tensor) -> Tensor:
     _shape_check("div", a.data, b.data)
     data = a.data / b.data
 
-    def build(out):
-        def back():
-            if a.requires_grad:
-                a._accumulate(_unbroadcast(out.grad / b.data, a.data.shape))
-            if b.requires_grad:
-                b._accumulate(_unbroadcast(
-                    -out.grad * a.data / (b.data * b.data), b.data.shape))
-        return back
-    return _make(data, (a, b), build)
+    def back(g):
+        if a.requires_grad:
+            a._accumulate(_unbroadcast(g / b.data, a.data.shape))
+        if b.requires_grad:
+            b._accumulate(_unbroadcast(
+                -g * a.data / (b.data * b.data), b.data.shape))
+    return _make(data, (a, b), back)
 
 
 def smul(a: Tensor, scalar: float) -> Tensor:
     data = a.data * scalar
 
-    def build(out):
-        def back():
-            if a.requires_grad:
-                a._accumulate(out.grad * scalar)
-        return back
-    return _make(data, (a,), build)
+    def back(g):
+        a._accumulate(g * scalar)
+    return _make(data, (a,), back)
 
 
 def relu(a: Tensor) -> Tensor:
     data = np.maximum(a.data, 0.0)
 
-    def build(out):
-        def back():
-            if a.requires_grad:
-                a._accumulate(out.grad * (a.data > 0.0))
-        return back
-    return _make(data, (a,), build)
+    def back(g):
+        a._accumulate(g * (a.data > 0.0))
+    return _make(data, (a,), back)
 
 
 def clamp(a: Tensor, lo: float, hi: float) -> Tensor:
     """Clip to [lo, hi]; gradient passes only strictly inside the bounds."""
     data = np.clip(a.data, lo, hi)
 
-    def build(out):
-        def back():
-            if a.requires_grad:
-                inside = (a.data > lo) & (a.data < hi)
-                a._accumulate(out.grad * inside)
-        return back
-    return _make(data, (a,), build)
+    def back(g):
+        a._accumulate(g * ((a.data > lo) & (a.data < hi)))
+    return _make(data, (a,), back)
 
 
 def clamp01(a: Tensor) -> Tensor:
@@ -240,12 +221,9 @@ def clamp01(a: Tensor) -> Tensor:
 def tsum(a: Tensor) -> Tensor:
     data = np.asarray(a.data.sum())
 
-    def build(out):
-        def back():
-            if a.requires_grad:
-                a._accumulate(np.broadcast_to(out.grad, a.data.shape).copy())
-        return back
-    return _make(data, (a,), build)
+    def back(g):
+        a._accumulate(np.broadcast_to(g, a.data.shape).copy())
+    return _make(data, (a,), back)
 
 
 def mean_channels(a: Tensor) -> Tensor:
@@ -256,147 +234,142 @@ def mean_channels(a: Tensor) -> Tensor:
     channels = a.data.shape[2]
     data = a.data.mean(axis=2, keepdims=True)
 
-    def build(out):
-        def back():
-            if a.requires_grad:
-                a._accumulate(np.broadcast_to(
-                    out.grad / channels, a.data.shape).copy())
-        return back
-    return _make(data, (a,), build)
+    def back(g):
+        a._accumulate(np.broadcast_to(g / channels, a.data.shape).copy())
+    return _make(data, (a,), back)
 
 
 def sqnorm(a: Tensor) -> Tensor:
     """Squared l2 norm over all entries (scalar output)."""
     data = np.asarray(np.sum(a.data * a.data))
 
-    def build(out):
-        def back():
-            if a.requires_grad:
-                a._accumulate(out.grad * 2.0 * a.data)
-        return back
-    return _make(data, (a,), build)
+    def back(g):
+        a._accumulate(g * 2.0 * a.data)
+    return _make(data, (a,), back)
+
+
+def _pad_flat(a: np.ndarray, kshape: tuple[int, ...], op: str
+              ) -> tuple[np.ndarray, int, int]:
+    """The tap layout of conv2d and blur2d. Returns (flat, wp, rows): the
+    (H, W, C) array `a` zero-padded to same size for the odd kernel dims
+    (kh, kw) = kshape[:2], as one C-ordered ((H + kh - 1) * wp, C) list of
+    pixels, wp = W + kw - 1.
+
+    Tap (i, j) sees all outputs as one contiguous block of that list,
+    flat[i * wp + j:][:rows] with rows = (H - 1) * wp + W, so a tap reads
+    no slice copy. The block runs in rows of width wp; the kw - 1 extra
+    columns per output row are computed and dropped, and a VJP scatters its
+    cotangent at the same offsets, widened by zero columns (_widen). The
+    bits are those of a per-tap loop over (H, W) windows: each output gets
+    the same products, added into a +0.0 accumulator in row-major tap
+    order, and the zero columns add only +-0.0, which changes no
+    accumulator."""
+    kh, kw = kshape[0], kshape[1]
+    if kh % 2 == 0 or kw % 2 == 0:
+        raise ShapeMismatchError(
+            f"{op}: kernel dims must be odd for same padding, got {kshape}")
+    h, w, c = a.shape
+    wp = w + kw - 1
+    padded = np.zeros((h + kh - 1, wp, c))
+    padded[kh // 2:kh // 2 + h, kw // 2:kw // 2 + w] = a
+    return padded.reshape(-1, c), wp, (h - 1) * wp + w
+
+
+def _widen(g: np.ndarray, wp: int, rows: int) -> np.ndarray:
+    """An (H, W, C) cotangent as one tap block of _pad_flat's layout: rows
+    of width wp, zero in the wp - W extra columns."""
+    h, w, c = g.shape
+    wide = np.zeros((h, wp, c))
+    wide[:, :w] = g
+    return wide.reshape(-1, c)[:rows]
 
 
 def conv2d(x: Tensor, kernel: Tensor, bias: Tensor | None = None) -> Tensor:
     """Spatial convolution (cross-correlation), stride 1, zero padding to
     same size. x: (H, W, Cin); kernel: (kh, kw, Cin, Cout); bias: (Cout,).
 
-    The zero-padded image is one C-ordered (H + kh - 1, wp, Cin) array,
-    wp = W + kw - 1, read as a flat list of pixels. Tap (i, j) sees all
-    outputs as one contiguous block of that list, starting at pixel
-    i * wp + j, so each tap is one matrix product and copies no slice. The
-    block runs in rows of width wp; the kw - 1 extra columns per output
-    row are computed and dropped. The input VJP widens the cotangent by
-    zero columns and scatters it at the same offsets.
-
-    The bits are those of a product per tap over its (H, W) window: each
-    output element is the same Cin-long (Cout-long in the input VJP) dot
-    product, added into a +0.0 accumulator in row-major tap order, and the
-    zero columns add only +-0.0, which changes no accumulator. This needs
-    BLAS to round a dot product the same whatever the length of its block
-    (with one output the block is one row, like the window); OpenBLAS does
-    for the zoo's layers, but a single output column (Cout = 1, or Cin = 1
-    in the input VJP) takes a matrix-vector kernel whose rounding follows
-    the row's position. The kernel and bias VJPs reduce over the H * W
-    window positions only."""
+    Forward and input VJP take one matrix product per tap block (see
+    _pad_flat). Their bits match a product per tap window only while BLAS
+    rounds a Cin-long (Cout-long in the input VJP) dot product the same
+    whatever the length of its block; OpenBLAS does for the zoo's layers,
+    but a single output column (Cout = 1, or Cin = 1 in the input VJP)
+    takes a matrix-vector kernel whose rounding follows the row's position.
+    The kernel and bias VJPs reduce over the H * W window positions only."""
     xd, kd = x.data, kernel.data
     if xd.ndim != 3 or kd.ndim != 4 or xd.shape[2] != kd.shape[2]:
         raise ShapeMismatchError(
             f"conv2d: incompatible shapes {xd.shape} and {kd.shape}")
-    kh, kw = kd.shape[0], kd.shape[1]
-    if kh % 2 == 0 or kw % 2 == 0:
-        raise ShapeMismatchError(
-            f"conv2d: kernel dims must be odd for same padding, got {kd.shape}")
-    h, w = xd.shape[0], xd.shape[1]
-    cout = kd.shape[3]
+    kh, kw, cin, cout = kd.shape
     if bias is not None and bias.data.shape != (cout,):
         raise ShapeMismatchError(
             f"conv2d: bias shape {bias.data.shape} does not match {cout} outputs")
-
-    hp, wp = h + kh - 1, w + kw - 1
-    ph, pw = kh // 2, kw // 2
-    padded = np.zeros((hp, wp, xd.shape[2]))
-    padded[ph:ph + h, pw:pw + w] = xd
-    flat = padded.reshape(hp * wp, -1)
-    rows = (h - 1) * wp + w  # output (0, 0) through (h - 1, w - 1)
+    h, w = xd.shape[0], xd.shape[1]
+    flat, wp, rows = _pad_flat(xd, kd.shape, "conv2d")
     acc = np.zeros((h * wp, cout))
-    for i in range(kh):
-        for j in range(kw):
-            start = i * wp + j
-            acc[:rows] += flat[start:start + rows] @ kd[i, j]
+    for i, j in product(range(kh), range(kw)):
+        start = i * wp + j
+        acc[:rows] += flat[start:start + rows] @ kd[i, j]
     data = acc.reshape(h, wp, cout)[:, :w]
     if bias is not None:
         data = data + bias.data
 
+    def back(g):
+        if x.requires_grad:
+            gwide = _widen(g, wp, rows)
+            gflat = np.zeros_like(flat)
+            for i, j in product(range(kh), range(kw)):
+                start = i * wp + j
+                gflat[start:start + rows] += gwide @ kd[i, j].T
+            x._accumulate(gflat.reshape(-1, wp, cin)[kh // 2:kh // 2 + h,
+                                                     kw // 2:kw // 2 + w])
+        if kernel.requires_grad:
+            padded = flat.reshape(-1, wp, cin)
+            gk = np.empty_like(kd)
+            for i, j in product(range(kh), range(kw)):
+                gk[i, j] = np.tensordot(padded[i:i + h, j:j + w], g,
+                                        axes=([0, 1], [0, 1]))
+            kernel._accumulate(gk)
+        if bias is not None and bias.requires_grad:
+            bias._accumulate(g.sum(axis=(0, 1)))
     parents = (x, kernel) if bias is None else (x, kernel, bias)
-
-    def build(out):
-        def back():
-            g = out.grad
-            if x.requires_grad:
-                gext = np.zeros((h, wp, cout))
-                gext[:, :w] = g
-                gext = gext.reshape(-1, cout)[:rows]
-                gpad = np.zeros_like(padded)
-                gflat = gpad.reshape(hp * wp, -1)
-                for i in range(kh):
-                    for j in range(kw):
-                        start = i * wp + j
-                        gflat[start:start + rows] += gext @ kd[i, j].T
-                x._accumulate(gpad[ph:ph + h, pw:pw + w])
-            if kernel.requires_grad:
-                gk = np.empty_like(kd)
-                for i in range(kh):
-                    for j in range(kw):
-                        gk[i, j] = np.tensordot(padded[i:i + h, j:j + w], g,
-                                                axes=([0, 1], [0, 1]))
-                kernel._accumulate(gk)
-            if bias is not None and bias.requires_grad:
-                bias._accumulate(g.sum(axis=(0, 1)))
-        return back
-    return _make(data, parents, build)
+    return _make(data, parents, back)
 
 
 def blur2d(x: Tensor, kernel2d: np.ndarray) -> Tensor:
     """Depthwise blur with a fixed 2-D kernel (not differentiated), zero
     padding to same size. Used for box/Gaussian smoothing inside models.
 
-    Forward and VJP shift-and-add one scaled copy per tap in row-major tap
-    order; the copy is scaled once per distinct tap value (a box kernel has
-    one), which leaves every product, and so every sum, as it would be with
-    one multiply per tap."""
+    Forward and VJP add one tap block (see _pad_flat) per tap of a copy
+    scaled once per distinct tap value (a box kernel has one), which
+    leaves every product, and so every sum, as it would be with one
+    multiply per tap."""
     xd = x.data
     kern = np.asarray(kernel2d, dtype=np.float64)
     if xd.ndim != 3 or kern.ndim != 2:
         raise ShapeMismatchError(
             f"blur2d: incompatible shapes {xd.shape} and {kern.shape}")
     kh, kw = kern.shape
-    if kh % 2 == 0 or kw % 2 == 0:
-        raise ShapeMismatchError(
-            f"blur2d: kernel dims must be odd for same padding, got {kern.shape}")
     h, w, c = xd.shape
-    ph, pw = kh // 2, kw // 2
-    padded = np.zeros((h + kh - 1, w + kw - 1, c))
-    padded[ph:ph + h, pw:pw + w] = xd
+    flat, wp, rows = _pad_flat(xd, kern.shape, "blur2d")
     taps, tap_of = np.unique(kern, return_inverse=True)
     tap_of = tap_of.reshape(kern.shape)
-    scaled = [v * padded for v in taps]
-    data = np.zeros_like(xd)
-    for i in range(kh):
-        for j in range(kw):
-            data += scaled[tap_of[i, j]][i:i + h, j:j + w]
+    scaled = [v * flat for v in taps]
+    acc = np.zeros((h * wp, c))
+    for i, j in product(range(kh), range(kw)):
+        start = i * wp + j
+        acc[:rows] += scaled[tap_of[i, j]][start:start + rows]
+    data = acc.reshape(h, wp, c)[:, :w]
 
-    def build(out):
-        def back():
-            if x.requires_grad:
-                gpad = np.zeros_like(padded)
-                scaled_grad = [v * out.grad for v in taps]
-                for i in range(kh):
-                    for j in range(kw):
-                        gpad[i:i + h, j:j + w] += scaled_grad[tap_of[i, j]]
-                x._accumulate(gpad[ph:ph + h, pw:pw + w])
-        return back
-    return _make(data, (x,), build)
+    def back(g):
+        gwide = _widen(g, wp, rows)
+        scaled_grad = [v * gwide for v in taps]
+        gflat = np.zeros_like(flat)
+        for i, j in product(range(kh), range(kw)):
+            start = i * wp + j
+            gflat[start:start + rows] += scaled_grad[tap_of[i, j]]
+        x._accumulate(gflat.reshape(-1, wp, c)[kh // 2:kh // 2 + h,
+                                               kw // 2:kw // 2 + w])
+    return _make(data, (x,), back)
 
 
 def box_kernel(radius: int) -> np.ndarray:

@@ -18,7 +18,8 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields
 
-from .attack import AttackConfig, equivalent_uniform_budget, pgd_attack
+from .attack import (AttackConfig, AttackResult, equivalent_uniform_budget,
+                     pgd_attack)
 from .imagecore import Image, ShadowMask, write_atomic
 from .metrics import (REGION_NONSHADOW, REGION_SHADOW, perturbation_norms,
                       psnr, region_ssim, ssim)
@@ -28,8 +29,6 @@ from .synthdata import Triplet
 
 CSV_SCHEMA_LINE = "# shadowstorm-csv v1"
 PLOT_SCHEMA_LINE = "# shadowstorm-plot v1"
-
-DEFAULT_BUDGETS = tuple(n / 255.0 for n in (1, 2, 4, 8, 16))
 
 
 @dataclass(frozen=True)
@@ -103,13 +102,35 @@ def region_metrics(reference: Image, test: Image,
             *region_ssim(reference, test, mask))
 
 
+def result_row(image_id: str, epsilon_nominal: float, result: AttackResult,
+               image: Image, free: Image | None, mask: ShadowMask | None,
+               started: float | None = None) -> ResultRow:
+    """Measure one finished attack on `image`: region metrics against the
+    shadow-free reference `free` (NaN without one) and against the clean
+    output, and the perturbation norms. runtime_ms is the wall time since
+    `started`, a time.perf_counter reading, or 0 without one."""
+    config = result.config
+    out_attacked = result.attacked_output
+    gt = ((float("nan"),) * 6 if free is None
+          else region_metrics(free, out_attacked, mask))
+    clean = region_metrics(result.clean_output, out_attacked, mask)
+    norms = perturbation_norms(result.perturbation, image,
+                               config.intensity_floor)
+    elapsed_ms = (0.0 if started is None
+                  else (time.perf_counter() - started) * 1000.0)
+    return ResultRow(image_id, config.mode, epsilon_nominal, config.epsilon,
+                     *gt, *clean,
+                     norms.l1_mean, norms.linf, norms.linf_normalized,
+                     config.iterations, elapsed_ms)
+
+
 def evaluate_cell(model: DiffModel, image_id: str, triplet: Triplet,
                   mode: str, epsilon_nominal: float, *, anchor: Image,
                   equalize: bool, iterations: int, step_divisor: float,
                   seed: int, floor: float, timing: bool = False) -> ResultRow:
     """Attack one image at one budget and measure everything; `anchor` is
     the model's clean output on the image."""
-    started = time.perf_counter() if timing else 0.0
+    started = time.perf_counter() if timing else None
     epsilon = epsilon_nominal
     if mode == "uniform" and equalize:
         epsilon = equivalent_uniform_budget(triplet.shadow, epsilon_nominal)
@@ -118,15 +139,8 @@ def evaluate_cell(model: DiffModel, image_id: str, triplet: Triplet,
                           seed=cell_seed(seed, image_id, mode, epsilon_nominal),
                           intensity_floor=floor)
     result = pgd_attack(model, triplet.shadow, config, anchor=anchor)
-    out_attacked = result.attacked_output
-    gt = region_metrics(triplet.shadow_free, out_attacked, triplet.mask)
-    clean = region_metrics(result.clean_output, out_attacked, triplet.mask)
-    norms = perturbation_norms(result.perturbation, triplet.shadow, floor)
-    elapsed_ms = (time.perf_counter() - started) * 1000.0 if timing else 0.0
-    return ResultRow(image_id, mode, epsilon_nominal, epsilon,
-                     *gt, *clean,
-                     norms.l1_mean, norms.linf, norms.linf_normalized,
-                     iterations, elapsed_ms)
+    return result_row(image_id, epsilon_nominal, result, triplet.shadow,
+                      triplet.shadow_free, triplet.mask, started)
 
 
 @dataclass(frozen=True)

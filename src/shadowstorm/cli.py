@@ -15,13 +15,12 @@ import sys
 import numpy as np
 
 from . import bench, metrics
-from .attack import (AttackConfig, NonFiniteGradientError, pgd_attack)
+from .attack import AttackConfig, pgd_attack
 from .imagecore import (Image, PnmError, ShadowMask, load_mask, load_pnm,
                         save_pnm, write_atomic)
-from .models import (DivergenceError, ParamsError, load_params,
-                     model_gainmap, model_identity, model_tinycnn,
-                     model_tinycnn_from_params, probe_gradients, save_params,
-                     train_toy)
+from .models import (ParamsError, load_params, model_gainmap, model_identity,
+                     model_tinycnn, model_tinycnn_from_params, probe_gradients,
+                     save_params, train_toy)
 from .rng import derive_seed
 from .synthdata import SynthConfig, TripletDirError, gen_dataset, load_triplet_dir
 
@@ -132,15 +131,8 @@ def cmd_attack(args) -> int:
     result = pgd_attack(model, image, config)
 
     # metrics before any write, so a failure leaves no artifact on disk
-    out_attacked = result.attacked_output
-    norms = metrics.perturbation_norms(result.perturbation, image, args.floor)
-    gt = ((float("nan"),) * 6 if free is None
-          else bench.region_metrics(free, out_attacked, mask))
-    clean = bench.region_metrics(result.clean_output, out_attacked, mask)
     image_id = os.path.splitext(os.path.basename(args.image))[0]
-    row = bench.ResultRow(image_id, args.mode, args.eps, config.epsilon,
-                          *gt, *clean, norms.l1_mean, norms.linf,
-                          norms.linf_normalized, args.iters, 0.0)
+    row = bench.result_row(image_id, args.eps, result, image, free, mask)
 
     prefix = args.out_prefix
     ext = "pgm" if image.channels == 1 else "ppm"
@@ -322,7 +314,7 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
-    except (NonFiniteGradientError, DivergenceError) as exc:
+    except ArithmeticError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     except ValueError as exc:

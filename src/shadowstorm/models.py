@@ -64,8 +64,7 @@ class TapeModel:
         raise NotImplementedError
 
     def forward(self, image: Image) -> Image:
-        out = self.forward_t(Tensor(image.data))
-        return Image(np.clip(out.data, 0.0, 1.0))
+        return self._output(self.forward_t(Tensor(image.data)))
 
     def vjp(self, image: Image
             ) -> tuple[Image, Callable[[np.ndarray], np.ndarray]]:
@@ -77,7 +76,14 @@ class TapeModel:
             if leaf.grad is None:
                 return np.zeros_like(leaf.data)
             return leaf.grad
-        return Image(np.clip(out.data, 0.0, 1.0)), pullback
+        return self._output(out), pullback
+
+    def _output(self, out: Tensor) -> Image:
+        """The clamped output; NaN in it is a numeric failure, not bad input."""
+        data = np.clip(out.data, 0.0, 1.0)
+        if not np.all(np.isfinite(data)):
+            raise FloatingPointError(f"{self.name} output is not finite")
+        return Image(data)
 
     # Kept only as a delegate to vjp: the benchmark tracer binds this name.
     def input_grad(self, image: Image, cotangent: np.ndarray) -> np.ndarray:

@@ -8,6 +8,9 @@ without its `# dataset` line, which holds a temporary path.
 """
 
 import hashlib
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -79,3 +82,18 @@ def test_train_bytes(small_dataset, tmp_path):
     assert sha256(out.read_bytes()) == TRAIN_PARAMS_DIGEST
     assert sha256((tmp_path / "p.sspm.losslog.csv").read_bytes()) \
         == TRAIN_LOSSLOG_DIGEST
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_digests_hold_under_blas_threads(threads):
+    """The digests above, recomputed in a fresh process with OpenBLAS
+    limited to `threads` threads, so each thread count writes the same
+    bytes."""
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+    proc = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+         __file__, "-k", "not blas_threads"],
+        cwd=os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+        env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert "4 passed" in proc.stdout

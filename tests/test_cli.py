@@ -48,6 +48,15 @@ def dataset_dir(tmp_path_factory):
     return path
 
 
+@pytest.fixture(scope="module")
+def overflowing_params(tmp_path_factory):
+    """tinycnn parameters scaled so far that its output is NaN."""
+    path = tmp_path_factory.mktemp("params") / "huge.sspm"
+    save_params({name: arr * 1e306 for name, arr
+                 in model_tinycnn(seed=0).snapshot().items()}, path)
+    return path
+
+
 class TestParsers:
     def test_budget_fraction_and_decimal(self):
         assert parse_budget("16/255") == pytest.approx(16 / 255)
@@ -152,6 +161,19 @@ class TestAttack:
                    "--out-prefix", str(out / "x")])
         assert rc == 2
         assert "mask.pgm" in capsys.readouterr().err
+        assert os.listdir(out) == []
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_non_finite_model_output_numeric_error_before_any_write(
+            self, dataset_dir, overflowing_params, tmp_path, capsys):
+        out = tmp_path / "out"
+        out.mkdir()
+        rc = main(["attack", "--mode", "uniform", "--eps", "4/255",
+                   "--iters", "2", "--model", str(overflowing_params),
+                   "--image", str(dataset_dir / "shadow_0000.ppm"),
+                   "--out-prefix", str(out / "x")])
+        assert rc == 4
+        assert "output is not finite" in capsys.readouterr().err
         assert os.listdir(out) == []
 
     def test_missing_image_is_io_error(self, tmp_path):
@@ -274,6 +296,20 @@ class TestBench:
         out = tmp_path / "broken.csv"
         bench.write_csv(out, rows, failures)
         assert sum(l.startswith("# failed 0001") for l in open(out)) == 4
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_non_finite_model_output_fails_each_cell_as_numeric(
+            self, dataset_dir, overflowing_params, tmp_path):
+        out = tmp_path / "huge.csv"
+        rc = main(["bench", "--dataset", str(dataset_dir), "--model",
+                   str(overflowing_params), "--budgets", "4/255",
+                   "--iters", "2", "--out", str(out)])
+        assert rc == 1
+        failed = [l for l in open(out) if l.startswith("# failed")]
+        assert len(failed) == 3 * 2
+        assert all(l.rstrip("\n").endswith(
+            "FloatingPointError: tinycnn(seed=0) output is not finite")
+            for l in failed)
 
     def test_equalize_effective_epsilon(self, dataset_dir, tmp_path):
         # the row value matches the independent mean recomputation to 1e-12;
