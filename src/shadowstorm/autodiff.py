@@ -40,13 +40,25 @@ def _shape_check(op: str, a: np.ndarray, b: np.ndarray) -> None:
             f"{op}: incompatible shapes {a.shape} and {b.shape}") from None
 
 
+def _sum_last(a: np.ndarray) -> np.ndarray:
+    """Sum over the last axis, kept as size 1: its slices added in order to
+    a +0.0 accumulator. numpy adds up to 7 entries the same way, so the
+    bits equal np.sum's and np.mean's for 1-7 entries (images have 1 or 3
+    channels); from 8 entries on its pairwise unroll rounds differently."""
+    acc = np.zeros(a.shape[:-1] + (1,))
+    for k in range(a.shape[-1]):
+        acc += a[..., k:k + 1]
+    return acc
+
+
 def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     """Sum a broadcasted gradient back down to `shape`."""
     while grad.ndim > len(shape):
         grad = grad.sum(axis=0)
     for axis, size in enumerate(shape):
         if size == 1 and grad.shape[axis] != 1:
-            grad = grad.sum(axis=axis, keepdims=True)
+            grad = (_sum_last(grad) if axis == grad.ndim - 1
+                    else grad.sum(axis=axis, keepdims=True))
     return grad
 
 
@@ -71,9 +83,16 @@ class Tensor:
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
 
     def _accumulate(self, g: np.ndarray) -> None:
+        """Add `g` of this tensor's shape to the gradient. A first gradient
+        is a new array, g + 0.0: the bits of zeros + g, as -0.0 + 0.0 = +0.0."""
+        if g.shape != self.data.shape:
+            raise ShapeMismatchError(
+                f"gradient shape {g.shape} does not match tensor shape "
+                f"{self.data.shape}")
         if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        self.grad += g
+            self.grad = g + 0.0
+        else:
+            self.grad += g
 
     def backward(self, seed: np.ndarray | None = None) -> None:
         """Backpropagate from this tensor.
@@ -95,12 +114,7 @@ class Tensor:
                     f"backward without a seed requires a scalar, got shape "
                     f"{self.data.shape}")
             seed = np.ones_like(self.data)
-        else:
-            seed = np.asarray(seed, dtype=np.float64)
-            if seed.shape != self.data.shape:
-                raise ShapeMismatchError(
-                    f"backward seed shape {seed.shape} does not match tensor "
-                    f"shape {self.data.shape}")
+        self._accumulate(np.asarray(seed, dtype=np.float64))
         self._backward_done = True
 
         topo: list[Tensor] = []
@@ -119,7 +133,6 @@ class Tensor:
                 if id(parent) not in visited:
                     stack.append((parent, False))
 
-        self._accumulate(seed)
         for node in reversed(topo):
             # a backward rule may leave a parent without any contribution
             if node._backward is not None and node.grad is not None:
@@ -222,7 +235,7 @@ def tsum(a: Tensor) -> Tensor:
     data = np.asarray(a.data.sum())
 
     def back(g):
-        a._accumulate(np.broadcast_to(g, a.data.shape).copy())
+        a._accumulate(np.broadcast_to(g, a.data.shape))
     return _make(data, (a,), back)
 
 
@@ -232,10 +245,10 @@ def mean_channels(a: Tensor) -> Tensor:
         raise ShapeMismatchError(
             f"mean_channels: expected HxWxC input, got shape {a.data.shape}")
     channels = a.data.shape[2]
-    data = a.data.mean(axis=2, keepdims=True)
+    data = _sum_last(a.data) / channels
 
     def back(g):
-        a._accumulate(np.broadcast_to(g / channels, a.data.shape).copy())
+        a._accumulate(np.broadcast_to(g / channels, a.data.shape))
     return _make(data, (a,), back)
 
 

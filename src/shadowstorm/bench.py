@@ -21,8 +21,8 @@ from dataclasses import dataclass, fields
 from .attack import (AttackConfig, AttackResult, equivalent_uniform_budget,
                      pgd_attack)
 from .imagecore import Image, ShadowMask, write_atomic
-from .metrics import (REGION_NONSHADOW, REGION_SHADOW, perturbation_norms,
-                      psnr, region_ssim, ssim)
+from .metrics import (_region_psnr, perturbation_norms, psnr, region_ssim,
+                      ssim)
 from .models import DiffModel
 from .rng import derive_seed
 from .synthdata import Triplet
@@ -89,17 +89,17 @@ def cell_seed(seed: int, image_id: str, mode: str, epsilon: float) -> int:
     return derive_seed(seed ^ h, 0)
 
 
-def region_metrics(reference: Image, test: Image,
-                   mask: ShadowMask | None) -> tuple[float, ...]:
-    """PSNR then SSIM, each over all, shadow and non-shadow pixels; the
-    region columns are NaN without a mask."""
+def region_metrics(references: list[Image], test: Image,
+                   mask: ShadowMask | None) -> list[tuple[float, ...]]:
+    """PSNR then SSIM, each over all, shadow and non-shadow pixels, of
+    `test` against each reference; the region columns are NaN without a
+    mask. With a mask, the SSIM statistics of `test` are computed once."""
     if mask is None:
         nan = float("nan")
-        return (psnr(reference, test), nan, nan, ssim(reference, test), nan, nan)
-    return (psnr(reference, test),
-            psnr(reference, test, mask, REGION_SHADOW),
-            psnr(reference, test, mask, REGION_NONSHADOW),
-            *region_ssim(reference, test, mask))
+        return [(psnr(ref, test), nan, nan, ssim(ref, test), nan, nan)
+                for ref in references]
+    return [(*_region_psnr(ref, test, mask), *ssims) for ref, ssims
+            in zip(references, region_ssim(references, test, mask))]
 
 
 def result_row(image_id: str, epsilon_nominal: float, result: AttackResult,
@@ -110,10 +110,10 @@ def result_row(image_id: str, epsilon_nominal: float, result: AttackResult,
     output, and the perturbation norms. runtime_ms is the wall time since
     `started`, a time.perf_counter reading, or 0 without one."""
     config = result.config
-    out_attacked = result.attacked_output
-    gt = ((float("nan"),) * 6 if free is None
-          else region_metrics(free, out_attacked, mask))
-    clean = region_metrics(result.clean_output, out_attacked, mask)
+    references = [ref for ref in (free, result.clean_output) if ref is not None]
+    scores = region_metrics(references, result.attacked_output, mask)
+    gt = (float("nan"),) * 6 if free is None else scores[0]
+    clean = scores[-1]
     norms = perturbation_norms(result.perturbation, image,
                                config.intensity_floor)
     elapsed_ms = (0.0 if started is None
@@ -149,6 +149,7 @@ class SweepFailure:
     mode: str
     epsilon_nominal: float
     error: str
+    numeric: bool  # the exception was an ArithmeticError
 
 
 def run_sweep(model: DiffModel, triplets: list[tuple[int, Triplet]],
@@ -165,15 +166,15 @@ def run_sweep(model: DiffModel, triplets: list[tuple[int, Triplet]],
         (f"{index:04d}", mode, eps)
         for index, _ in triplets for mode in sorted(modes) for eps in budgets)
     by_id = {f"{index:04d}": triplet for index, triplet in triplets}
-    # the clean output is the same for every cell of an image; a failure
-    # message in its place fails each of them
+    # the clean output is the same for every cell of an image; an exception
+    # in its place fails each of them
     anchors = {image_id: _guard(model.forward, triplet.shadow)
                for image_id, triplet in by_id.items()}
 
     def run_one(cell):
         image_id, mode, eps = cell
         anchor = anchors[image_id]
-        if isinstance(anchor, str):
+        if isinstance(anchor, Exception):
             return anchor
         return evaluate_cell(model, image_id, by_id[image_id], mode, eps,
                              anchor=anchor, equalize=equalize,
@@ -191,7 +192,9 @@ def run_sweep(model: DiffModel, triplets: list[tuple[int, Triplet]],
         if isinstance(outcome, ResultRow):
             rows.append(outcome)
         else:
-            failures.append(SweepFailure(cell[0], cell[1], cell[2], outcome))
+            failures.append(SweepFailure(
+                *cell, f"{type(outcome).__name__}: {outcome}",
+                isinstance(outcome, ArithmeticError)))
     return rows, failures
 
 
@@ -199,7 +202,7 @@ def _guard(fn, arg):
     try:
         return fn(arg)
     except Exception as exc:  # recorded per cell; sweep must go on
-        return f"{type(exc).__name__}: {exc}"
+        return exc.with_traceback(None)  # its frames hold the cell's arrays
 
 
 def summarize(rows: list[ResultRow]) -> list[tuple[str, float, dict[str, float]]]:

@@ -1,7 +1,8 @@
 """Command-line front end: gen | attack | bench | gradcheck | train.
 
-Exit codes: 0 success, 1 partial failures in a sweep, 2 usage error,
-3 I/O or file-format error, 4 numeric failure, 5 validation failure.
+Exit codes: 0 success, 1 failed cells in a sweep, 2 usage error, 3 I/O or
+file-format error, 4 numeric failure (also a sweep that wrote no row
+because every cell failed numerically), 5 validation failure.
 All commands are deterministic under fixed flags; `bench --timing` opts
 into wall-clock runtime_ms at the cost of byte-stable output.
 """
@@ -178,6 +179,8 @@ def cmd_bench(args) -> int:
     bench.write_plot_data(plot_path, rows)
     print(f"wrote {len(rows)} rows to {args.out}, plot data to {plot_path}"
           + (f", {len(failures)} failures" if failures else ""))
+    if failures and not rows and all(f.numeric for f in failures):
+        return EXIT_NUMERIC
     return EXIT_PARTIAL if failures else EXIT_OK
 
 

@@ -46,12 +46,13 @@ class Image:
             raise ValueError(f"image channels must be 1 or 3, got {data.shape[2]}")
         if data.shape[0] < 1 or data.shape[1] < 1:
             raise ValueError(f"image dimensions must be positive, got {data.shape}")
-        if not np.all(np.isfinite(data)):
-            raise ValueError("image intensities must be finite")
-        if data.min() < 0.0 or data.max() > 1.0:
+        low, high = data.min(), data.max()  # NaN fails both tests below
+        if not (low >= 0.0 and high <= 1.0):
+            if not np.all(np.isfinite(data)):
+                raise ValueError("image intensities must be finite")
             raise ValueError(
                 f"image intensities must lie in [0, 1], got range "
-                f"[{data.min()}, {data.max()}]")
+                f"[{low}, {high}]")
         object.__setattr__(self, "data", _freeze(data))
 
     @property

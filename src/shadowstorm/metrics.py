@@ -8,14 +8,15 @@ with K1 = 0.01, K2 = 0.03 on a dense per-pixel map; windows are 'valid'
 mask value at its window center.
 
 :func:`region_ssim` gives the whole-image, shadow and non-shadow SSIM of one
-pair from a single map; :func:`check_mask` tells up front whether a mask
-leaves both regions something to measure.
+image against several references, one map each; :func:`check_mask` tells
+up front whether a mask leaves both regions something to measure.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -96,13 +97,24 @@ def region_mse(x: Image, y: Image, mask: ShadowMask | None = None,
     return float(np.mean(diff * diff))
 
 
+def _decibels(mse: float) -> float:
+    return math.inf if mse == 0.0 else 10.0 * math.log10(1.0 / mse)
+
+
 def psnr(x: Image, y: Image, mask: ShadowMask | None = None,
          region: str = REGION_ALL) -> float:
     """Peak signal-to-noise ratio in dB (peak 1.0); +inf on exact equality."""
-    mse = region_mse(x, y, mask, region)
-    if mse == 0.0:
-        return math.inf
-    return 10.0 * math.log10(1.0 / mse)
+    return _decibels(region_mse(x, y, mask, region))
+
+
+def _region_psnr(x: Image, y: Image, mask: ShadowMask) -> tuple[float, ...]:
+    """PSNR over all, shadow and non-shadow pixels from one squared error;
+    each equals the matching :func:`psnr` call bit for bit."""
+    _check_pair(x, y)
+    selects = [_region_select(mask, region, x.shape[:2]) for region in _REGIONS]
+    squared = np.square(x.data - y.data)
+    return tuple(_decibels(float(np.mean(squared[select])))
+                 for select in selects)
 
 
 def _gaussian_1d() -> np.ndarray:
@@ -120,24 +132,34 @@ def _filter_valid(a: np.ndarray) -> np.ndarray:
     return sliding_window_view(rows, SSIM_WINDOW, axis=1) @ _SSIM_TAP
 
 
+def _ssim_maps(references: Sequence[Image], y: Image) -> list[np.ndarray]:
+    """The ssim_map of each reference against `y`, with the filtered mean
+    and variance of `y` computed once for them all."""
+    for x in references:
+        _check_pair(x, y)
+    if min(y.height, y.width) < SSIM_WINDOW:
+        raise ValueError(
+            f"image {y.height}x{y.width} is smaller than the "
+            f"{SSIM_WINDOW}x{SSIM_WINDOW} SSIM window")
+    c1, c2 = SSIM_K1 ** 2, SSIM_K2 ** 2
+    yd = y.data
+    mu_y = _filter_valid(yd)
+    sig_y = _filter_valid(yd * yd) - mu_y * mu_y
+    maps = []
+    for x in references:
+        xd = x.data
+        mu_x = _filter_valid(xd)
+        sig_x = _filter_valid(xd * xd) - mu_x * mu_x
+        sig_xy = _filter_valid(xd * yd) - mu_x * mu_y
+        num = (2.0 * mu_x * mu_y + c1) * (2.0 * sig_xy + c2)
+        den = (mu_x * mu_x + mu_y * mu_y + c1) * (sig_x + sig_y + c2)
+        maps.append(num / den)
+    return maps
+
+
 def ssim_map(x: Image, y: Image) -> np.ndarray:
     """Dense per-pixel SSIM of valid windows: (H-10, W-10, C)."""
-    _check_pair(x, y)
-    if min(x.height, x.width) < SSIM_WINDOW:
-        raise ValueError(
-            f"image {x.height}x{x.width} is smaller than the "
-            f"{SSIM_WINDOW}x{SSIM_WINDOW} SSIM window")
-    c1 = SSIM_K1 ** 2
-    c2 = SSIM_K2 ** 2
-    xd, yd = x.data, y.data
-    mu_x = _filter_valid(xd)
-    mu_y = _filter_valid(yd)
-    sig_x = _filter_valid(xd * xd) - mu_x * mu_x
-    sig_y = _filter_valid(yd * yd) - mu_y * mu_y
-    sig_xy = _filter_valid(xd * yd) - mu_x * mu_y
-    num = (2.0 * mu_x * mu_y + c1) * (2.0 * sig_xy + c2)
-    den = (mu_x * mu_x + mu_y * mu_y + c1) * (sig_x + sig_y + c2)
-    return num / den
+    return _ssim_maps([x], y)[0]
 
 
 def _region_mean(smap: np.ndarray, shape: tuple[int, int],
@@ -153,13 +175,13 @@ def ssim(x: Image, y: Image, mask: ShadowMask | None = None,
     return _region_mean(ssim_map(x, y), x.shape[:2], mask, region)
 
 
-def region_ssim(x: Image, y: Image,
-                mask: ShadowMask) -> tuple[float, float, float]:
-    """SSIM over all, shadow and non-shadow window centers, from one map;
-    each value equals the matching :func:`ssim` call bit for bit."""
-    smap = ssim_map(x, y)
-    return tuple(_region_mean(smap, x.shape[:2], mask, region)
-                 for region in _REGIONS)
+def region_ssim(references: Sequence[Image], y: Image, mask: ShadowMask
+                ) -> list[tuple[float, float, float]]:
+    """SSIM of `y` against each reference over all, shadow and non-shadow
+    window centers; each equals the matching :func:`ssim` call bit for bit."""
+    return [tuple(_region_mean(smap, y.shape[:2], mask, region)
+                  for region in _REGIONS)
+            for smap in _ssim_maps(references, y)]
 
 
 @dataclass(frozen=True)

@@ -115,6 +115,14 @@ def _border_weight(height: int, width: int, radius: int) -> np.ndarray:
     return weight
 
 
+@functools.lru_cache(maxsize=16)
+def _inverse_border_weight(height: int, width: int, radius: int) -> np.ndarray:
+    """1.0 / _border_weight, cached and read-only alike."""
+    inverse = 1.0 / _border_weight(height, width, radius)
+    inverse.flags.writeable = False
+    return inverse
+
+
 class GainMapModel(TapeModel):
     """Analytic illumination corrector.
 
@@ -139,7 +147,7 @@ class GainMapModel(TapeModel):
         lum = ad.mean_channels(x)
         mu = ad.smul(ad.tsum(lum), 1.0 / (h * w))
         smooth = ad.mul(ad.blur2d(lum, self._kernel),
-                        Tensor(1.0 / _border_weight(h, w, self.blur_radius)))
+                        Tensor(_inverse_border_weight(h, w, self.blur_radius)))
         gain = ad.clamp(ad.div(mu, ad.add(smooth, Tensor(GAIN_DENOM_EPS))),
                         1.0, self.max_gain)
         return ad.clamp01(ad.mul(x, gain))

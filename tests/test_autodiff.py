@@ -160,7 +160,43 @@ class TestConv2dBytes:
             assert bt.grad.tobytes() == ref_gb.tobytes()
 
 
+class TestChannelSumBytes:
+    """The channel sum adds slices into +0.0 in order; numpy's reduction
+    does the same for up to 7 entries, -0.0 entries included."""
+
+    @pytest.mark.parametrize("channels", range(1, 8))
+    def test_matches_numpy_reductions(self, channels):
+        rng = Xoshiro256StarStar(channels)
+        shape = (9, 11, channels)
+        a = (rng.fill_uniform(shape, -1.0, 1.0)
+             * 10.0 ** np.round(rng.fill_uniform(shape, -8.0, 8.0)))
+        a[rng.fill(shape) < 0.2] = -0.0
+        a[0, 0] = -0.0  # a pixel of nothing but -0.0
+        summed = ad._sum_last(a)
+        assert summed.tobytes() == np.sum(a, axis=-1, keepdims=True).tobytes()
+        assert (summed / channels)[..., 0].tobytes() \
+            == a.mean(axis=2).tobytes()
+        assert ad.mean_channels(Tensor(a)).data.tobytes() \
+            == a.mean(axis=2, keepdims=True).tobytes()
+        # the gradient of a per-pixel gain summed back over the channels
+        gain = Tensor(np.ones(shape[:2] + (1,)), requires_grad=True)
+        ad.mul(Tensor(a), gain).backward(np.ones(shape))
+        assert gain.grad.tobytes() \
+            == np.sum(a, axis=2, keepdims=True).tobytes()
+
+
 class TestErrors:
+    def test_accumulate_checks_shape_and_copies(self):
+        t = Tensor(np.zeros((2, 3)), requires_grad=True)
+        with pytest.raises(ShapeMismatchError, match=r"\(3,\).*\(2, 3\)"):
+            t._accumulate(np.zeros(3))
+        assert t.grad is None
+        view = np.broadcast_to(np.array(-0.0), (2, 3))
+        t._accumulate(view)  # a read-only view; -0.0 becomes +0.0
+        assert t.grad.tobytes() == np.zeros((2, 3)).tobytes()
+        t._accumulate(np.ones((2, 3)))
+        assert t.grad.tolist() == [[1.0] * 3] * 2 and view[0, 0] == 0.0
+
     def test_shape_mismatch_names_shapes_and_primitive(self):
         with pytest.raises(ShapeMismatchError, match=r"add.*\(2,\).*\(3,\)"):
             ad.add(Tensor(np.zeros(2)), Tensor(np.zeros(3)))

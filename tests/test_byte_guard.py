@@ -1,10 +1,12 @@
-"""Byte identity of small gen, bench and train runs.
+"""Byte identity of small gen, attack, bench and train runs.
 
 The bench and train digests were recorded from the code before the
 single-pass `vjp` protocol, the gen digests from the code before the
-generator's soft-mask blur moved onto `autodiff.blur2d`; a change that
-moves them changes what the CLI writes and must say so. The CSV is hashed
-without its `# dataset` line, which holds a temporary path.
+generator's soft-mask blur moved onto `autodiff.blur2d`, the attack
+digests from the code before the channel-sum and shared-metric passes; a
+change that moves them changes what the CLI writes and must say so. The
+bench CSV is hashed without its `# dataset` line, which holds a temporary
+path.
 """
 
 import hashlib
@@ -31,6 +33,16 @@ GEN_DIGESTS = {
         "40aec1fa84c415bef0b5ae76722ef92af0f8c758e9a2e6f6b9bb390196733855",
     "shadow_0001.ppm":
         "b57459e0e9d1859fca2107b29eb984f99695227287a9d98e0286bcc75be135f0",
+}
+ATTACK_DIGESTS = {
+    "a.csv":
+        "491e0ad8a0de8ee24f26e9cb87f831b6d9c9b18423529df8239a5cb1cd840d27",
+    "a_attacked.ppm":
+        "5f33e97723b059f4d88d8f1eb9239187cc9d793636019efd1c914921abd74257",
+    "a_delta_viz.ppm":
+        "97caf6cf7aca7f6f23a36a97227154c03f997d389b727ce98d5226289c7f09fc",
+    "a_normmap.ppm":
+        "9908543571f5c5ca551da72014f2ff69845739f62633a370c12147cd8aeb770d",
 }
 BENCH_DIGESTS = {
     "gainmap": (
@@ -61,6 +73,19 @@ def small_dataset(tmp_path_factory):
 def test_gen_bytes(small_dataset):
     assert {path.name: sha256(path.read_bytes())
             for path in small_dataset.iterdir()} == GEN_DIGESTS
+
+
+def test_attack_bytes(small_dataset, tmp_path):
+    out = tmp_path / "out"
+    out.mkdir()
+    assert main(["attack", "--model", "gainmap", "--mode", "adaptive",
+                 "--eps", "16/255", "--iters", "5",
+                 "--image", str(small_dataset / "shadow_0000.ppm"),
+                 "--mask", str(small_dataset / "mask_0000.pgm"),
+                 "--free", str(small_dataset / "free_0000.ppm"),
+                 "--out-prefix", str(out / "a")]) == 0
+    assert {path.name: sha256(path.read_bytes())
+            for path in out.iterdir()} == ATTACK_DIGESTS
 
 
 @pytest.mark.parametrize("model", sorted(BENCH_DIGESTS))
@@ -96,4 +121,4 @@ def test_digests_hold_under_blas_threads(threads):
         cwd=os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
         env=env, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stdout + proc.stderr
-    assert "4 passed" in proc.stdout
+    assert "5 passed" in proc.stdout

@@ -304,12 +304,54 @@ class TestBench:
         rc = main(["bench", "--dataset", str(dataset_dir), "--model",
                    str(overflowing_params), "--budgets", "4/255",
                    "--iters", "2", "--out", str(out)])
-        assert rc == 1
+        assert rc == 4  # no row at all, and every failure is numeric
         failed = [l for l in open(out) if l.startswith("# failed")]
         assert len(failed) == 3 * 2
         assert all(l.rstrip("\n").endswith(
             "FloatingPointError: tinycnn(seed=0) output is not finite")
             for l in failed)
+        assert (tmp_path / "huge.plot").exists()
+
+    @pytest.mark.parametrize("broken, error", [
+        ({"0001"}, FloatingPointError),
+        ({"0000", "0001", "0002"}, RuntimeError),
+    ], ids=["some-numeric", "all-non-numeric"])
+    def test_partly_or_non_numerically_failed_sweep_exits_1(
+            self, dataset_dir, tmp_path, monkeypatch, broken, error):
+        """Exit 4 needs no row and only numeric failures (the test above);
+        rows next to a numeric failure, or any non-numeric one, exit 1."""
+        import numpy as np
+        from shadowstorm import cli
+        from shadowstorm.models import model_identity
+        from shadowstorm.synthdata import load_triplet_dir
+
+        triplets = load_triplet_dir(dataset_dir)
+        broken_images = [t.shadow for index, t in triplets
+                         if f"{index:04d}" in broken]
+
+        class BrokenModel:
+            name = "broken"
+            inner = model_identity()
+
+            def forward(self, image):  # the clean anchor of each image
+                if any(np.array_equal(image.data, b.data)
+                       for b in broken_images):
+                    raise error("synthetic breakage")
+                return self.inner.forward(image)
+
+            def vjp(self, image):
+                return self.inner.vjp(image)
+
+        monkeypatch.setattr(cli, "load_model", lambda _name: BrokenModel())
+        out = tmp_path / "b.csv"
+        assert main(["bench", "--dataset", str(dataset_dir), "--budgets",
+                     "4/255", "--modes", "uniform", "--iters", "2",
+                     "--out", str(out)]) == 1
+        failed = [l for l in open(out) if l.startswith("# failed")]
+        assert len(failed) == len(broken)
+        assert all(l.rstrip("\n").endswith(
+            f"{error.__name__}: synthetic breakage") for l in failed)
+        assert (tmp_path / "b.plot").exists()
 
     def test_equalize_effective_epsilon(self, dataset_dir, tmp_path):
         # the row value matches the independent mean recomputation to 1e-12;

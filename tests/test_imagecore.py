@@ -184,6 +184,21 @@ class TestContainers:
         with pytest.raises(ValueError, match=r"\[0, 1\]"):
             Image(np.full((2, 2, 1), 1.5))
 
+    @pytest.mark.parametrize("values, message", [
+        ((np.nan,), "must be finite"),
+        ((np.inf,), "must be finite"),
+        ((-np.inf,), "must be finite"),
+        ((np.nan, 2.0), "must be finite"),
+        ((-0.25,), r"must lie in \[0, 1\], got range \[-0.25, 0.5\]"),
+        ((1.5, -2.0), r"must lie in \[0, 1\], got range \[-2.0, 1.5\]"),
+    ], ids=["nan", "inf", "-inf", "nan-and-out-of-range", "below", "both"])
+    def test_image_error_messages(self, values, message):
+        data = np.full((3, 2, 3), 0.5)
+        for index, value in enumerate(values):
+            data[index, 1, 2] = value
+        with pytest.raises(ValueError, match=message):
+            Image(data)
+
     def test_image_rejects_bad_channels(self):
         with pytest.raises(ValueError, match="channels"):
             Image(np.zeros((2, 2, 2)))

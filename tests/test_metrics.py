@@ -6,7 +6,7 @@ import pytest
 
 from shadowstorm.attack import AttackConfig, pgd_attack
 from shadowstorm.imagecore import Image, Perturbation, ShadowMask
-from shadowstorm.metrics import (EmptyRegionError, check_mask,
+from shadowstorm.metrics import (EmptyRegionError, _region_psnr, check_mask,
                                  normalized_perturbation_map,
                                  perturbation_norms, psnr, region_mse,
                                  region_ssim, ssim, ssim_map)
@@ -65,6 +65,16 @@ class TestPsnr:
         rhs = (n_s * region_mse(x, y, mask, "shadow")
                + n_ns * region_mse(x, y, mask, "nonshadow"))
         assert lhs == pytest.approx(rhs, rel=1e-12)
+
+    def test_region_psnr_equals_three_psnr_calls(self):
+        for seed, shape in ((17, (5, 7, 1)), (18, (40, 36, 3))):
+            x, y = random_pair(seed, shape=shape)
+            mask = checker_mask(*shape[:2])
+            expected = (psnr(x, y), psnr(x, y, mask, "shadow"),
+                        psnr(x, y, mask, "nonshadow"))
+            got = _region_psnr(x, y, mask)
+            assert np.array(got).tobytes() == np.array(expected).tobytes()
+        assert _region_psnr(x, x, mask) == (math.inf,) * 3
 
     def test_shape_mismatch_rejected(self):
         a = Image(np.zeros((2, 2, 1)))
@@ -134,10 +144,11 @@ class TestSsim:
     def test_region_ssim_equals_three_ssim_calls(self):
         for seed, shape in ((15, (22, 22, 1)), (16, (40, 36, 3))):
             x, y = random_pair(seed, shape=shape)
+            other, _ = random_pair(seed + 100, shape=shape)
             mask = checker_mask(*shape[:2])
-            expected = (ssim(x, y), ssim(x, y, mask, "shadow"),
-                        ssim(x, y, mask, "nonshadow"))
-            got = region_ssim(x, y, mask)
+            expected = [(ssim(ref, y), ssim(ref, y, mask, "shadow"),
+                         ssim(ref, y, mask, "nonshadow")) for ref in (x, other)]
+            got = region_ssim([x, other], y, mask)
             assert np.array(got).tobytes() == np.array(expected).tobytes()
 
     def test_check_mask_needs_pixels_and_window_centers(self):

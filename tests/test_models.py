@@ -194,6 +194,13 @@ class TestGainMapBorderWeight:
         assert first[4, 3, 0] == pytest.approx(1.0)
         assert first[0, 0, 0] == pytest.approx(9 / 25)
 
+    def test_inverse_cached_read_only(self):
+        from shadowstorm.models import _border_weight, _inverse_border_weight
+        inverse = _inverse_border_weight(9, 7, 2)
+        assert _inverse_border_weight(9, 7, 2) is inverse
+        assert not inverse.flags.writeable
+        assert inverse.tobytes() == (1.0 / _border_weight(9, 7, 2)).tobytes()
+
 
 def make_dataset(seed=7, count=32, size=32, blur=4):
     cfg = SynthConfig(seed=seed, count=count, height=size, width=size,
