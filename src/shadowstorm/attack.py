@@ -21,7 +21,8 @@ from typing import Callable
 
 import numpy as np
 
-from .imagecore import Image, Perturbation, mean_intensity
+from .imagecore import (DEFAULT_INTENSITY_FLOOR, Image, Perturbation,
+                        effective_intensity, mean_intensity)
 from .models import DiffModel
 from .rng import Xoshiro256StarStar
 
@@ -29,7 +30,6 @@ log = logging.getLogger(__name__)
 
 MODE_UNIFORM = "uniform"
 MODE_ADAPTIVE = "adaptive"
-DEFAULT_INTENSITY_FLOOR = 1.0 / 255.0
 
 
 class NonFiniteGradientError(ArithmeticError):
@@ -61,8 +61,9 @@ class AttackConfig:
             raise ValueError(f"epsilon must lie in (0, 1), got {self.epsilon}")
         if self.iterations < 1:
             raise ValueError(f"iterations must be >= 1, got {self.iterations}")
-        if self.step_divisor <= 0.0:
-            raise ValueError(f"step_divisor must be positive, got {self.step_divisor}")
+        if not 0.0 < self.step_divisor < np.inf:
+            raise ValueError(
+                f"step_divisor must be positive and finite, got {self.step_divisor}")
         if not 0.0 < self.intensity_floor <= 1.0:
             raise ValueError(
                 f"intensity_floor must lie in (0, 1], got {self.intensity_floor}")
@@ -93,11 +94,6 @@ class AttackResult:
     config: AttackConfig
     clean_output: Image
     attacked_output: Image
-
-
-def effective_intensity(image: Image, floor: float) -> np.ndarray:
-    """Pixel intensities with the floor substituted below it."""
-    return np.maximum(image.data, floor)
 
 
 def budget_box(image: Image, config: AttackConfig) -> BudgetBox:

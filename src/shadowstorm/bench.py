@@ -20,8 +20,8 @@ from dataclasses import dataclass, fields
 
 from .attack import (AttackConfig, AttackResult, equivalent_uniform_budget,
                      pgd_attack)
-from .imagecore import Image, ShadowMask, write_atomic
-from .metrics import (_region_psnr, perturbation_norms, psnr, region_ssim,
+from .imagecore import DEFAULT_INTENSITY_FLOOR, Image, ShadowMask, write_atomic
+from .metrics import (perturbation_norms, psnr, region_psnr, region_ssim,
                       ssim)
 from .models import DiffModel
 from .rng import derive_seed
@@ -98,7 +98,7 @@ def region_metrics(references: list[Image], test: Image,
         nan = float("nan")
         return [(psnr(ref, test), nan, nan, ssim(ref, test), nan, nan)
                 for ref in references]
-    return [(*_region_psnr(ref, test, mask), *ssims) for ref, ssims
+    return [(*region_psnr(ref, test, mask), *ssims) for ref, ssims
             in zip(references, region_ssim(references, test, mask))]
 
 
@@ -155,7 +155,7 @@ class SweepFailure:
 def run_sweep(model: DiffModel, triplets: list[tuple[int, Triplet]],
               budgets, modes, *, equalize: bool = False, iterations: int = 20,
               step_divisor: float = 4.0, seed: int = 0,
-              floor: float = 1.0 / 255.0, jobs: int = 1,
+              floor: float = DEFAULT_INTENSITY_FLOOR, jobs: int = 1,
               timing: bool = False) -> tuple[list[ResultRow], list[SweepFailure]]:
     """Attack every (image, mode, budget) cell; continue past failures.
 

@@ -17,8 +17,8 @@ import numpy as np
 
 from . import bench, metrics
 from .attack import AttackConfig, pgd_attack
-from .imagecore import (Image, PnmError, ShadowMask, load_mask, load_pnm,
-                        save_pnm, write_atomic)
+from .imagecore import (DEFAULT_INTENSITY_FLOOR, Image, PnmError, ShadowMask,
+                        load_mask, load_pnm, save_pnm, write_atomic)
 from .models import (ParamsError, load_params, model_gainmap, model_identity,
                      model_tinycnn, model_tinycnn_from_params, probe_gradients,
                      save_params, train_toy)
@@ -74,6 +74,17 @@ def load_model(identifier: str):
         return model_tinycnn_from_params(load_params(identifier))
     raise UsageError(f"unknown model {identifier!r}: expected one of "
                      f"{ZOO_NAMES} or a parameter file")
+
+
+def _check_flags(counts=(), reals=()) -> None:
+    """Usage error unless every (flag, value) in `counts` is >= 1 and every
+    one in `reals` is positive and finite."""
+    for flag, value in counts:
+        if value < 1:
+            raise UsageError(f"{flag} must be >= 1, got {value}")
+    for flag, value in reals:
+        if not 0.0 < value < np.inf:
+            raise UsageError(f"{flag} must be positive and finite, got {value}")
 
 
 def _check_ssim_size(image: Image, what: str) -> None:
@@ -153,20 +164,21 @@ def cmd_attack(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    for flag, value in (("--iters", args.iters), ("--jobs", args.jobs)):
-        if value < 1:
-            raise UsageError(f"{flag} must be >= 1, got {value}")
+    _check_flags(counts=(("--iters", args.iters), ("--jobs", args.jobs)),
+                 reals=(("--step-div", args.step_div),))
     triplets = load_triplet_dir(args.dataset)
     for index, triplet in triplets:
         _check_ssim_size(triplet.shadow, f"triplet {index:04d}")
         _check_mask(triplet.mask, f"triplet {index:04d} mask")
     budgets = [parse_budget(b) for b in args.budgets.split(",")]
-    if budgets != sorted(budgets):
-        raise UsageError("budgets must be sorted ascending")
+    if any(a >= b for a, b in zip(budgets, budgets[1:])):
+        raise UsageError("budgets must be strictly ascending")
     modes = args.modes.split(",")
     for mode in modes:
         if mode not in ("uniform", "adaptive"):
             raise UsageError(f"unknown mode {mode!r}")
+    if len(set(modes)) < len(modes):
+        raise UsageError(f"modes must be distinct, got {args.modes!r}")
     model = load_model(args.model)
     rows, failures = bench.run_sweep(
         model, triplets, budgets, modes, equalize=args.equalize,
@@ -185,8 +197,11 @@ def cmd_bench(args) -> int:
 
 
 def cmd_gradcheck(args) -> int:
+    _check_flags(counts=(("--inputs", args.inputs),),
+                 reals=(("--h", args.h), ("--tol", args.tol)))
     names = ZOO_NAMES if args.model == "all" else (args.model,)
     worst_name, worst = None, None
+    failures = []
     for mi, name in enumerate(names):
         reports, redrawn = probe_gradients(
             load_model(name), derive_seed(args.seed, mi), args.inputs,
@@ -195,15 +210,19 @@ def cmd_gradcheck(args) -> int:
             if not report.passed and (worst is None
                                       or report.max_rel_error > worst.max_rel_error):
                 worst_name, worst = name, report
+        if len(reports) < args.inputs:
+            failures.append(f"{name} kept {len(reports)} of {args.inputs} "
+                            "probes after redraws")
         model_worst = max((r.max_rel_error for r in reports), default=0.0)
         note = f", {redrawn} kink-seated draws redrawn" if redrawn else ""
         print(f"{name}: max relative error {model_worst:.3e} "
               f"over {len(reports)} inputs (tol {args.tol:g}){note}")
     if worst is not None:
-        print(f"FAIL: {worst_name} gradient mismatch {worst.max_rel_error:.3e} "
-              f"at coordinate {worst.worst_coord}", file=sys.stderr)
-        return EXIT_VALIDATION
-    return EXIT_OK
+        failures.append(f"{worst_name} gradient mismatch {worst.max_rel_error:.3e} "
+                        f"at coordinate {worst.worst_coord}")
+    for failure in failures:
+        print(f"FAIL: {failure}", file=sys.stderr)
+    return EXIT_VALIDATION if failures else EXIT_OK
 
 
 def cmd_train(args) -> int:
@@ -251,7 +270,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--iters", type=int, default=20)
     p.add_argument("--step-div", type=float, default=4.0)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--floor", type=parse_budget, default=1.0 / 255.0)
+    p.add_argument("--floor", type=parse_budget, default=DEFAULT_INTENSITY_FLOOR)
     p.add_argument("--model", default="gainmap")
     p.add_argument("--image", required=True)
     p.add_argument("--mask", default=None)
@@ -270,7 +289,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--iters", type=int, default=20)
     p.add_argument("--step-div", type=float, default=4.0)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--floor", type=parse_budget, default=1.0 / 255.0)
+    p.add_argument("--floor", type=parse_budget, default=DEFAULT_INTENSITY_FLOOR)
     p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--timing", action="store_true",
                    help="record wall-clock runtime_ms (breaks byte determinism)")

@@ -246,3 +246,12 @@ def save_mask(mask: ShadowMask, path) -> None:
 def mean_intensity(image: Image) -> float:
     """Arithmetic mean over all H*W*C intensities."""
     return float(np.mean(image.data))
+
+
+DEFAULT_INTENSITY_FLOOR = 1.0 / 255.0
+
+
+def effective_intensity(image: Image,
+                        floor: float = DEFAULT_INTENSITY_FLOOR) -> np.ndarray:
+    """Pixel intensities with the floor substituted below it."""
+    return np.maximum(image.data, floor)

@@ -7,9 +7,12 @@ with K1 = 0.01, K2 = 0.03 on a dense per-pixel map; windows are 'valid'
 (fully inside the image) and each map pixel is assigned to a region by the
 mask value at its window center.
 
-:func:`region_ssim` gives the whole-image, shadow and non-shadow SSIM of one
-image against several references, one map each; :func:`check_mask` tells
-up front whether a mask leaves both regions something to measure.
+:func:`psnr` and :func:`ssim` score the whole image. :func:`region_mse`,
+:func:`region_psnr` and :func:`region_ssim` return (all, shadow,
+non-shadow) triples, the whole-image entry equal to the whole-image
+function bit for bit; :func:`region_ssim` scores one image against several
+references, one map each. :func:`check_mask` tells up front whether a mask
+leaves both regions something to measure.
 """
 
 from __future__ import annotations
@@ -21,66 +24,48 @@ from typing import Sequence
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .imagecore import Image, Perturbation, ShadowMask
+from .imagecore import (DEFAULT_INTENSITY_FLOOR, Image, Perturbation,
+                        ShadowMask, effective_intensity)
 
 SSIM_WINDOW = 11
 SSIM_SIGMA = 1.5
 SSIM_K1 = 0.01
 SSIM_K2 = 0.03
-
-REGION_ALL = "all"
-REGION_SHADOW = "shadow"
-REGION_NONSHADOW = "nonshadow"
-_REGIONS = (REGION_ALL, REGION_SHADOW, REGION_NONSHADOW)
+_SSIM_MARGIN = (SSIM_WINDOW - 1) // 2
 
 
 class EmptyRegionError(ValueError):
     """The requested region contains no pixels."""
 
 
-def _region_select(mask: ShadowMask | None, region: str,
-                   shape: tuple[int, int]) -> np.ndarray:
-    """Boolean (H, W) membership map for the requested region."""
-    if region not in _REGIONS:
-        raise ValueError(f"unknown region {region!r}, expected one of {_REGIONS}")
-    if region == REGION_ALL:
-        return np.ones(shape, dtype=bool)
-    if mask is None:
-        raise ValueError(f"region {region!r} requires a shadow mask")
+def _regions(mask: ShadowMask, shape: tuple[int, int], margin: int = 0
+             ) -> tuple:
+    """Selectors of the all, shadow and non-shadow pixels of an (H, W, ...)
+    array: ``...`` and two boolean maps. With a margin the maps cover only
+    the pixels that far inside the border, the SSIM window centers in the
+    layout of :func:`ssim_map`. Raises unless the mask has the given shape
+    and both regions hold pixels, inside the margin too."""
     if mask.data.shape != shape:
         raise ValueError(
             f"mask shape {mask.data.shape} does not match image shape {shape}")
-    shadow = _split(mask)
-    return shadow if region == REGION_SHADOW else ~shadow
-
-
-def _split(mask: ShadowMask) -> np.ndarray:
-    """Boolean shadow map; raises unless both regions hold pixels."""
     shadow = mask.data.astype(bool)
     if not shadow.any() or shadow.all():
         raise EmptyRegionError(
             "region metrics need both shadow and non-shadow pixels")
-    return shadow
-
-
-def _window_centers(select: np.ndarray, region: str) -> np.ndarray:
-    """The part of an (H, W) region map at valid SSIM window centers, in
-    the layout of :func:`ssim_map`; raises if it holds none."""
-    margin = (SSIM_WINDOW - 1) // 2
-    height, width = select.shape
-    centers = select[margin:height - margin, margin:width - margin]
-    if not centers.any():
-        raise EmptyRegionError(
-            f"region {region!r} has no window centers inside the valid area")
-    return centers
+    height, width = shape
+    inner = shadow[margin:height - margin, margin:width - margin]
+    regions = (..., inner, ~inner)
+    for name, select in zip(("shadow", "nonshadow"), regions[1:]):
+        if not select.any():
+            raise EmptyRegionError(
+                f"region {name!r} has no window centers inside the valid area")
+    return regions
 
 
 def check_mask(mask: ShadowMask) -> None:
     """Raise EmptyRegionError unless the shadow and the non-shadow region
     each hold pixels (for PSNR) and valid SSIM window centers (for SSIM)."""
-    shadow = _split(mask)
-    _window_centers(shadow, REGION_SHADOW)
-    _window_centers(~shadow, REGION_NONSHADOW)
+    _regions(mask, mask.data.shape, _SSIM_MARGIN)
 
 
 def _check_pair(x: Image, y: Image) -> None:
@@ -88,33 +73,33 @@ def _check_pair(x: Image, y: Image) -> None:
         raise ValueError(f"image shapes differ: {x.shape} vs {y.shape}")
 
 
-def region_mse(x: Image, y: Image, mask: ShadowMask | None = None,
-               region: str = REGION_ALL) -> float:
-    """Mean squared error over the selected pixels, all channels."""
+def _squared_error(x: Image, y: Image) -> np.ndarray:
     _check_pair(x, y)
-    select = _region_select(mask, region, x.shape[:2])
-    diff = x.data[select] - y.data[select]
-    return float(np.mean(diff * diff))
+    return np.square(x.data - y.data)
 
 
 def _decibels(mse: float) -> float:
     return math.inf if mse == 0.0 else 10.0 * math.log10(1.0 / mse)
 
 
-def psnr(x: Image, y: Image, mask: ShadowMask | None = None,
-         region: str = REGION_ALL) -> float:
+def psnr(x: Image, y: Image) -> float:
     """Peak signal-to-noise ratio in dB (peak 1.0); +inf on exact equality."""
-    return _decibels(region_mse(x, y, mask, region))
+    return _decibels(float(np.mean(_squared_error(x, y))))
 
 
-def _region_psnr(x: Image, y: Image, mask: ShadowMask) -> tuple[float, ...]:
-    """PSNR over all, shadow and non-shadow pixels from one squared error;
-    each equals the matching :func:`psnr` call bit for bit."""
-    _check_pair(x, y)
-    selects = [_region_select(mask, region, x.shape[:2]) for region in _REGIONS]
-    squared = np.square(x.data - y.data)
-    return tuple(_decibels(float(np.mean(squared[select])))
-                 for select in selects)
+def region_mse(x: Image, y: Image, mask: ShadowMask
+               ) -> tuple[float, float, float]:
+    """Mean squared error over all, shadow and non-shadow pixels, all
+    channels, from one squared error."""
+    squared = _squared_error(x, y)
+    return tuple(float(np.mean(squared[select]))
+                 for select in _regions(mask, x.shape[:2]))
+
+
+def region_psnr(x: Image, y: Image, mask: ShadowMask
+                ) -> tuple[float, float, float]:
+    """PSNR over all, shadow and non-shadow pixels from one squared error."""
+    return tuple(_decibels(mse) for mse in region_mse(x, y, mask))
 
 
 def _gaussian_1d() -> np.ndarray:
@@ -162,26 +147,19 @@ def ssim_map(x: Image, y: Image) -> np.ndarray:
     return _ssim_maps([x], y)[0]
 
 
-def _region_mean(smap: np.ndarray, shape: tuple[int, int],
-                 mask: ShadowMask | None, region: str) -> float:
-    """Mean of an SSIM map over the window centers of one region."""
-    centers = _window_centers(_region_select(mask, region, shape), region)
-    return float(np.mean(smap[centers]))
-
-
-def ssim(x: Image, y: Image, mask: ShadowMask | None = None,
-         region: str = REGION_ALL) -> float:
-    """Mean SSIM over the selected region (window-center membership)."""
-    return _region_mean(ssim_map(x, y), x.shape[:2], mask, region)
+def ssim(x: Image, y: Image) -> float:
+    """Mean SSIM over every valid window."""
+    return float(np.mean(ssim_map(x, y)))
 
 
 def region_ssim(references: Sequence[Image], y: Image, mask: ShadowMask
                 ) -> list[tuple[float, float, float]]:
     """SSIM of `y` against each reference over all, shadow and non-shadow
-    window centers; each equals the matching :func:`ssim` call bit for bit."""
-    return [tuple(_region_mean(smap, y.shape[:2], mask, region)
-                  for region in _REGIONS)
-            for smap in _ssim_maps(references, y)]
+    window centers."""
+    maps = _ssim_maps(references, y)
+    centers = _regions(mask, y.shape[:2], _SSIM_MARGIN)
+    return [tuple(float(np.mean(smap[select])) for select in centers)
+            for smap in maps]
 
 
 @dataclass(frozen=True)
@@ -192,7 +170,8 @@ class PerturbationNorms:
 
 
 def perturbation_norms(delta: Perturbation, image: Image,
-                       floor: float = 1.0 / 255.0) -> PerturbationNorms:
+                       floor: float = DEFAULT_INTENSITY_FLOOR
+                       ) -> PerturbationNorms:
     """Mean-l1, max and intensity-normalized max magnitude of a perturbation.
 
     linf_normalized is the max over pixels of |delta_i| / max(I_i, floor),
@@ -202,7 +181,7 @@ def perturbation_norms(delta: Perturbation, image: Image,
         raise ValueError(
             f"delta shape {delta.shape} does not match image shape {image.shape}")
     abs_delta = np.abs(delta.data)
-    normalized = abs_delta / np.maximum(image.data, floor)
+    normalized = abs_delta / effective_intensity(image, floor)
     return PerturbationNorms(
         l1_mean=float(np.mean(abs_delta)),
         linf=float(abs_delta.max()),
@@ -211,10 +190,11 @@ def perturbation_norms(delta: Perturbation, image: Image,
 
 
 def normalized_perturbation_map(delta: Perturbation, image: Image,
-                                floor: float = 1.0 / 255.0) -> np.ndarray:
+                                floor: float = DEFAULT_INTENSITY_FLOOR
+                                ) -> np.ndarray:
     """Element-wise |delta| / max(I, floor). Deliberately not clamped: values
     above 1 on dark pixels are exactly what uniform attacks produce."""
     if delta.shape != image.shape:
         raise ValueError(
             f"delta shape {delta.shape} does not match image shape {image.shape}")
-    return np.abs(delta.data) / np.maximum(image.data, floor)
+    return np.abs(delta.data) / effective_intensity(image, floor)

@@ -105,20 +105,12 @@ class IdentityModel(TapeModel):
 
 
 @functools.lru_cache(maxsize=16)
-def _border_weight(height: int, width: int, radius: int) -> np.ndarray:
-    """Blur mass that falls inside the image; divides out the darkening a
-    zero-padded box blur would otherwise introduce at the borders. Cached
-    per shape and radius, so the array is returned read-only."""
-    ones = Tensor(np.ones((height, width, 1)))
-    weight = ad.blur2d(ones, ad.box_kernel(radius)).data
-    weight.flags.writeable = False
-    return weight
-
-
-@functools.lru_cache(maxsize=16)
 def _inverse_border_weight(height: int, width: int, radius: int) -> np.ndarray:
-    """1.0 / _border_weight, cached and read-only alike."""
-    inverse = 1.0 / _border_weight(height, width, radius)
+    """Reciprocal of the blur mass that falls inside the image; multiplying
+    a zero-padded box blur by it undoes the darkening at the borders.
+    Cached per shape and radius, so the array is returned read-only."""
+    ones = Tensor(np.ones((height, width, 1)))
+    inverse = 1.0 / ad.blur2d(ones, ad.box_kernel(radius)).data
     inverse.flags.writeable = False
     return inverse
 

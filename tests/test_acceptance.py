@@ -245,9 +245,9 @@ def test_criterion_06_metric_correctness():
     mask = synthdata.ShadowMask(mask_data)
     n_all = 14 * 14
     n_s = int(mask.data.sum())
-    lhs = n_all * metrics.region_mse(p, q)
-    rhs = (n_s * metrics.region_mse(p, q, mask, "shadow")
-           + (n_all - n_s) * metrics.region_mse(p, q, mask, "nonshadow"))
+    mse_all, mse_shadow, mse_nonshadow = metrics.region_mse(p, q, mask)
+    lhs = n_all * mse_all
+    rhs = n_s * mse_shadow + (n_all - n_s) * mse_nonshadow
     assert lhs == pytest.approx(rhs, rel=1e-12)
     report(6, f"PSNR 20.0 dB exact, SSIM(x,x)=1, constant-pair SSIM matches "
               f"closed form {oracle:.6f}, MSE region additivity at 1e-12")
@@ -261,15 +261,11 @@ def test_criterion_07_budget_sweep_trend(sweep_rows, trained_cnn,
     gainmap = models.model_gainmap(**GAINMAP_FIXTURE)
     drops = {}
     for name, model in (("cnn", trained_cnn), ("gainmap", gainmap)):
-        clean = {}
-        for region in ("all", "shadow", "nonshadow"):
-            vals = []
-            for _i, t in bench_triplets:
-                out = model.forward(t.shadow)
-                vals.append(metrics.psnr(t.shadow_free, out)
-                            if region == "all" else
-                            metrics.psnr(t.shadow_free, out, t.mask, region))
-            clean[region] = float(np.mean(vals))
+        per_image = [metrics.region_psnr(t.shadow_free,
+                                         model.forward(t.shadow), t.mask)
+                     for _i, t in bench_triplets]
+        clean = {region: float(np.mean(vals)) for region, vals
+                 in zip(("all", "shadow", "nonshadow"), zip(*per_image))}
         summary = bench.summarize(sweep_rows[name])
         for mode in ("uniform", "adaptive"):
             for region in ("all", "shadow", "nonshadow"):

@@ -71,8 +71,9 @@ class TestAttackConfig:
             AttackConfig(mode="chaotic", epsilon=0.1)
         with pytest.raises(ValueError, match="iterations"):
             AttackConfig(mode="uniform", epsilon=0.1, iterations=0)
-        with pytest.raises(ValueError, match="step_divisor"):
-            AttackConfig(mode="uniform", epsilon=0.1, step_divisor=0.0)
+        for divisor in (0.0, -1.0, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="step_divisor"):
+                AttackConfig(mode="uniform", epsilon=0.1, step_divisor=divisor)
         with pytest.raises(ValueError, match="intensity_floor"):
             AttackConfig(mode="adaptive", epsilon=0.1, intensity_floor=0.0)
 

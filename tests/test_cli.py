@@ -176,6 +176,20 @@ class TestAttack:
         assert "output is not finite" in capsys.readouterr().err
         assert os.listdir(out) == []
 
+    @pytest.mark.parametrize("value", ["0", "-1", "nan", "inf"])
+    def test_bad_step_div_usage_error_before_any_work(
+            self, dataset_dir, tmp_path, monkeypatch, capsys, value):
+        out = tmp_path / "out"
+        out.mkdir()
+        forbid_attack(monkeypatch)
+        rc = main(["attack", "--mode", "uniform", "--eps", "4/255",
+                   "--step-div", value,
+                   "--image", str(dataset_dir / "shadow_0000.ppm"),
+                   "--out-prefix", str(out / "x")])
+        assert rc == 2
+        assert "step_divisor" in capsys.readouterr().err
+        assert os.listdir(out) == []
+
     def test_missing_image_is_io_error(self, tmp_path):
         rc = main(["attack", "--mode", "uniform", "--eps", "0.1",
                    "--image", str(tmp_path / "nope.ppm"),
@@ -392,6 +406,27 @@ class TestBench:
         assert rc == 2
         assert os.listdir(tmp_path) == []
 
+    @pytest.mark.parametrize("value", ["0", "-1", "nan", "inf"])
+    def test_bad_step_div_usage_error_before_any_write(
+            self, dataset_dir, tmp_path, monkeypatch, capsys, value):
+        forbid_model_load(monkeypatch)
+        rc = main(["bench", "--dataset", str(dataset_dir), "--step-div", value,
+                   "--out", str(tmp_path / "x.csv")])
+        assert rc == 2
+        assert "--step-div" in capsys.readouterr().err
+        assert os.listdir(tmp_path) == []
+
+    @pytest.mark.parametrize("flag,value", [("--budgets", "1/255,1/255"),
+                                            ("--budgets", "1/255,2/255,2/255"),
+                                            ("--modes", "uniform,uniform")])
+    def test_duplicate_budget_or_mode_usage_error_before_model_load(
+            self, dataset_dir, tmp_path, monkeypatch, flag, value):
+        forbid_model_load(monkeypatch)
+        rc = main(["bench", "--dataset", str(dataset_dir), flag, value,
+                   "--out", str(tmp_path / "x.csv")])
+        assert rc == 2
+        assert os.listdir(tmp_path) == []
+
     def test_image_below_ssim_window_usage_error_before_any_write(
             self, tmp_path, monkeypatch):
         small = tmp_path / "small"
@@ -496,6 +531,24 @@ class TestGradcheckCommand:
         assert rc == 0
         reported = float(capsys.readouterr().out.split()[4])
         assert reported < 1e-9
+
+    @pytest.mark.parametrize("flag,value", [
+        ("--inputs", "0"), ("--inputs", "-1"),
+        ("--h", "0"), ("--h", "-0.5"), ("--h", "nan"), ("--h", "inf"),
+        ("--tol", "0"), ("--tol", "-1"), ("--tol", "nan"), ("--tol", "inf")])
+    def test_nothing_checkable_usage_error_before_model_load(
+            self, monkeypatch, capsys, flag, value):
+        forbid_model_load(monkeypatch)
+        assert main(["gradcheck", "--model", "identity", flag, value]) == 2
+        assert flag in capsys.readouterr().err
+
+    def test_too_few_valid_probes_is_validation_failure(self, capsys):
+        # a tolerance far below float noise seats every coordinate on a
+        # "kink", so every draw is redrawn and no probe is kept
+        rc = main(["gradcheck", "--model", "identity", "--inputs", "1",
+                   "--size", "4x4", "--tol", "1e-300"])
+        assert rc == 5
+        assert "identity kept 0 of 1" in capsys.readouterr().err
 
     def test_corrupted_params_io_error(self, tmp_path):
         bad = tmp_path / "bad.sspm"

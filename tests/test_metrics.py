@@ -6,10 +6,10 @@ import pytest
 
 from shadowstorm.attack import AttackConfig, pgd_attack
 from shadowstorm.imagecore import Image, Perturbation, ShadowMask
-from shadowstorm.metrics import (EmptyRegionError, _region_psnr, check_mask,
+from shadowstorm.metrics import (EmptyRegionError, check_mask,
                                  normalized_perturbation_map,
                                  perturbation_norms, psnr, region_mse,
-                                 region_ssim, ssim, ssim_map)
+                                 region_psnr, region_ssim, ssim, ssim_map)
 from shadowstorm.models import model_gainmap
 from shadowstorm.rng import Xoshiro256StarStar
 from shadowstorm.synthdata import SynthConfig, gen_triplet
@@ -38,9 +38,9 @@ class TestPsnr:
         x = Image(np.array([[[0.5], [0.5]]]))
         y = Image(np.array([[[0.6], [0.8]]]))  # diffs 0.1 and 0.3
         mask = ShadowMask(np.array([[1, 0]], dtype=np.uint8))
-        assert psnr(x, y, mask, "shadow") == pytest.approx(20.0, abs=1e-9)
-        assert psnr(x, y, mask, "nonshadow") == pytest.approx(
-            10 * math.log10(1 / 0.09), abs=1e-9)
+        _, shadow, nonshadow = region_psnr(x, y, mask)
+        assert shadow == pytest.approx(20.0, abs=1e-9)
+        assert nonshadow == pytest.approx(10 * math.log10(1 / 0.09), abs=1e-9)
 
     def test_symmetry(self):
         x, y = random_pair(2)
@@ -61,20 +61,27 @@ class TestPsnr:
         n_all = x.data.shape[0] * x.data.shape[1]
         n_s = int(mask.data.sum())
         n_ns = n_all - n_s
-        lhs = n_all * region_mse(x, y)
-        rhs = (n_s * region_mse(x, y, mask, "shadow")
-               + n_ns * region_mse(x, y, mask, "nonshadow"))
+        mse_all, mse_shadow, mse_nonshadow = region_mse(x, y, mask)
+        lhs = n_all * mse_all
+        rhs = n_s * mse_shadow + n_ns * mse_nonshadow
         assert lhs == pytest.approx(rhs, rel=1e-12)
 
     def test_region_psnr_equals_three_psnr_calls(self):
+        # each region scored on its own as a 1 x N strip of its pixels
         for seed, shape in ((17, (5, 7, 1)), (18, (40, 36, 3))):
             x, y = random_pair(seed, shape=shape)
             mask = checker_mask(*shape[:2])
-            expected = (psnr(x, y), psnr(x, y, mask, "shadow"),
-                        psnr(x, y, mask, "nonshadow"))
-            got = _region_psnr(x, y, mask)
+            shadow = mask.data.astype(bool)
+
+            def strip(img, select):
+                return Image(img.data[select][np.newaxis])
+
+            expected = (psnr(x, y),
+                        psnr(strip(x, shadow), strip(y, shadow)),
+                        psnr(strip(x, ~shadow), strip(y, ~shadow)))
+            got = region_psnr(x, y, mask)
             assert np.array(got).tobytes() == np.array(expected).tobytes()
-        assert _region_psnr(x, x, mask) == (math.inf,) * 3
+        assert region_psnr(x, x, mask) == (math.inf,) * 3
 
     def test_shape_mismatch_rejected(self):
         a = Image(np.zeros((2, 2, 1)))
@@ -86,12 +93,7 @@ class TestPsnr:
         x, y = random_pair(5, shape=(4, 4, 1))
         allshadow = ShadowMask(np.ones((4, 4), dtype=np.uint8))
         with pytest.raises(EmptyRegionError):
-            psnr(x, y, allshadow, "shadow")
-
-    def test_region_without_mask_rejected(self):
-        x, y = random_pair(6)
-        with pytest.raises(ValueError, match="requires a shadow mask"):
-            psnr(x, y, None, "shadow")
+            region_psnr(x, y, allshadow)
 
 
 class TestSsim:
@@ -132,9 +134,7 @@ class TestSsim:
         mask_data = np.zeros((22, 22), dtype=np.uint8)
         mask_data[:, :11] = 1  # left half shadow
         mask = ShadowMask(mask_data)
-        s_shadow = ssim(x, y, mask, "shadow")
-        s_nonshadow = ssim(x, y, mask, "nonshadow")
-        s_all = ssim(x, y)
+        [(s_all, s_shadow, s_nonshadow)] = region_ssim([x], y, mask)
         smap = ssim_map(x, y)
         centers = mask_data[5:-5, 5:-5].astype(bool)
         assert s_shadow == pytest.approx(float(smap[centers].mean()), abs=1e-12)
@@ -146,8 +146,12 @@ class TestSsim:
             x, y = random_pair(seed, shape=shape)
             other, _ = random_pair(seed + 100, shape=shape)
             mask = checker_mask(*shape[:2])
-            expected = [(ssim(ref, y), ssim(ref, y, mask, "shadow"),
-                         ssim(ref, y, mask, "nonshadow")) for ref in (x, other)]
+            centers = mask.data[5:-5, 5:-5].astype(bool)
+            expected = []
+            for ref in (x, other):
+                smap = ssim_map(ref, y)
+                expected.append((ssim(ref, y), float(np.mean(smap[centers])),
+                                 float(np.mean(smap[~centers]))))
             got = region_ssim([x, other], y, mask)
             assert np.array(got).tobytes() == np.array(expected).tobytes()
 
@@ -167,7 +171,29 @@ class TestSsim:
         mask_data = np.zeros((16, 16), dtype=np.uint8)
         mask_data[0, 0] = 1  # shadow exists but never as a window center
         with pytest.raises(EmptyRegionError, match="window centers"):
-            ssim(x, y, ShadowMask(mask_data), "shadow")
+            region_ssim([x], y, ShadowMask(mask_data))
+
+
+class TestRegionTriples:
+    def test_whole_image_scores_equal_all_entries(self):
+        for seed, shape in ((17, (22, 15, 1)), (18, (40, 36, 3))):
+            x, y = random_pair(seed, shape=shape)
+            other, _ = random_pair(seed + 100, shape=shape)
+            mask = checker_mask(*shape[:2])
+            assert (np.float64(psnr(x, y)).tobytes()
+                    == np.float64(region_psnr(x, y, mask)[0]).tobytes())
+            got = [entries[0] for entries in region_ssim([x, other], y, mask)]
+            expected = [ssim(x, y), ssim(other, y)]
+            assert np.array(got).tobytes() == np.array(expected).tobytes()
+        assert region_psnr(x, x, mask) == (math.inf,) * 3
+
+    def test_mask_of_another_size_rejected(self):
+        x, y = random_pair(19, shape=(16, 16, 3))
+        mask = checker_mask(16, 17)
+        with pytest.raises(ValueError, match="does not match image shape"):
+            region_psnr(x, y, mask)
+        with pytest.raises(ValueError, match="does not match image shape"):
+            region_ssim([x], y, mask)
 
 
 class TestPerturbationNorms:

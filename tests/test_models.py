@@ -186,20 +186,24 @@ class TestVjp:
 
 class TestGainMapBorderWeight:
     def test_cached_read_only(self):
-        from shadowstorm.models import _border_weight
-        first = _border_weight(9, 7, 2)
-        assert _border_weight(9, 7, 2) is first
+        from shadowstorm.models import _inverse_border_weight
+        first = _inverse_border_weight(9, 7, 2)
+        assert _inverse_border_weight(9, 7, 2) is first
+        assert _inverse_border_weight(9, 7, 3) is not first
         assert not first.flags.writeable
         assert first.shape == (9, 7, 1)
         assert first[4, 3, 0] == pytest.approx(1.0)
-        assert first[0, 0, 0] == pytest.approx(9 / 25)
+        # a corner keeps 9 of the 25 taps of a radius-2 box inside the image
+        assert first[0, 0, 0] == pytest.approx(25 / 9)
 
     def test_inverse_cached_read_only(self):
-        from shadowstorm.models import _border_weight, _inverse_border_weight
+        from shadowstorm.models import _inverse_border_weight
         inverse = _inverse_border_weight(9, 7, 2)
         assert _inverse_border_weight(9, 7, 2) is inverse
         assert not inverse.flags.writeable
-        assert inverse.tobytes() == (1.0 / _border_weight(9, 7, 2)).tobytes()
+        ones = Tensor(np.ones((9, 7, 1)))
+        expected = 1.0 / ad.blur2d(ones, ad.box_kernel(2)).data
+        assert inverse.tobytes() == expected.tobytes()
 
 
 def make_dataset(seed=7, count=32, size=32, blur=4):
