@@ -10,6 +10,7 @@ into wall-clock runtime_ms at the cost of byte-stable output.
 from __future__ import annotations
 
 import argparse
+import ctypes
 import os
 import sys
 
@@ -34,6 +35,12 @@ EXIT_VALIDATION = 5
 
 ZOO_NAMES = ("identity", "gainmap", "tinycnn")
 
+# glibc mallopt parameters; a fixed threshold also stops glibc's dynamic one
+M_TRIM_THRESHOLD = -1
+M_MMAP_THRESHOLD = -3
+MMAP_THRESHOLD_BYTES = 32 << 20  # glibc's largest mmap threshold on 64-bit
+TRIM_THRESHOLD_BYTES = 2 * MMAP_THRESHOLD_BYTES  # glibc's own dynamic ratio
+
 
 class UsageError(ValueError):
     pass
@@ -57,9 +64,12 @@ def parse_budget(text: str) -> float:
 def parse_size(text: str) -> tuple[int, int]:
     try:
         h, w = text.lower().split("x", 1)
-        return int(h), int(w)
+        size = int(h), int(w)
     except ValueError:
         raise UsageError(f"cannot parse size {text!r}, expected HxW") from None
+    if min(size) < 1:
+        raise UsageError(f"size sides must be >= 1, got {text!r}")
+    return size
 
 
 def load_model(identifier: str):
@@ -76,12 +86,12 @@ def load_model(identifier: str):
                      f"{ZOO_NAMES} or a parameter file")
 
 
-def _check_flags(counts=(), reals=()) -> None:
-    """Usage error unless every (flag, value) in `counts` is >= 1 and every
-    one in `reals` is positive and finite."""
+def _check_flags(counts=(), reals=(), least=1) -> None:
+    """Usage error unless every (flag, value) in `counts` is >= `least` and
+    every one in `reals` is positive and finite."""
     for flag, value in counts:
-        if value < 1:
-            raise UsageError(f"{flag} must be >= 1, got {value}")
+        if value < least:
+            raise UsageError(f"{flag} must be >= {least}, got {value}")
     for flag, value in reals:
         if not 0.0 < value < np.inf:
             raise UsageError(f"{flag} must be positive and finite, got {value}")
@@ -171,8 +181,12 @@ def cmd_bench(args) -> int:
         _check_ssim_size(triplet.shadow, f"triplet {index:04d}")
         _check_mask(triplet.mask, f"triplet {index:04d} mask")
     budgets = [parse_budget(b) for b in args.budgets.split(",")]
-    if any(a >= b for a, b in zip(budgets, budgets[1:])):
-        raise UsageError("budgets must be strictly ascending")
+    for a, b in zip(budgets, budgets[1:]):
+        # rows and cell seeds are keyed by the printed budget
+        if a >= b or bench.fmt_epsilon(a) == bench.fmt_epsilon(b):
+            raise UsageError("budgets must be strictly ascending as printed, "
+                             f"got {bench.fmt_epsilon(a)} then "
+                             f"{bench.fmt_epsilon(b)}")
     modes = args.modes.split(",")
     for mode in modes:
         if mode not in ("uniform", "adaptive"):
@@ -226,6 +240,8 @@ def cmd_gradcheck(args) -> int:
 
 
 def cmd_train(args) -> int:
+    _check_flags(counts=(("--epochs", args.epochs),), reals=(("--lr", args.lr),),
+                 least=0)
     triplets = load_triplet_dir(args.dataset)
     if not triplets:
         raise UsageError(f"no triplets in {args.dataset}")
@@ -319,7 +335,26 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _retain_freed_memory() -> None:
+    """On glibc, keep freed arrays in the heap for reuse: its dynamic mmap
+    threshold and heap trimming hand many 100 KB-1.5 MB temporaries fresh,
+    zero-filled pages, tens of thousands of page faults per command. No
+    computed value depends on it. Only `main` calls this, so importing the
+    package leaves the process's allocator alone."""
+    try:
+        if not os.confstr("CS_GNU_LIBC_VERSION").startswith("glibc"):
+            return
+    except (AttributeError, ValueError, OSError):
+        return
+    mallopt = ctypes.CDLL(None).mallopt
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    mallopt(M_MMAP_THRESHOLD, MMAP_THRESHOLD_BYTES)
+    mallopt(M_TRIM_THRESHOLD, TRIM_THRESHOLD_BYTES)
+
+
 def main(argv=None) -> int:
+    _retain_freed_memory()
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

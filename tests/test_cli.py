@@ -1,5 +1,8 @@
 import os
+import platform
 import struct
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -70,8 +73,15 @@ class TestParsers:
     def test_size(self):
         assert parse_size("64x48") == (64, 48)
         assert parse_size("32X32") == (32, 32)
-        with pytest.raises(ValueError):
-            parse_size("64")
+        for bad in ("64", "0x0", "0x32", "32x-1"):
+            with pytest.raises(ValueError):
+                parse_size(bad)
+
+    def test_non_positive_size_names_the_flag(self, capsys):
+        rc = main(["gradcheck", "--model", "identity", "--size", "0x0",
+                   "--inputs", "1"])
+        assert rc == 2
+        assert "--size" in capsys.readouterr().err
 
 
 class TestGen:
@@ -418,6 +428,7 @@ class TestBench:
 
     @pytest.mark.parametrize("flag,value", [("--budgets", "1/255,1/255"),
                                             ("--budgets", "1/255,2/255,2/255"),
+                                            ("--budgets", "0.1,0.1000000001"),
                                             ("--modes", "uniform,uniform")])
     def test_duplicate_budget_or_mode_usage_error_before_model_load(
             self, dataset_dir, tmp_path, monkeypatch, flag, value):
@@ -595,6 +606,20 @@ class TestTrain:
         losses = [float(l.split(",")[1]) for l in log[1:]]
         assert losses[-1] < losses[0]
 
+    @pytest.mark.parametrize("flag,value", [("--epochs", "-2"),
+                                            ("--lr", "0"), ("--lr", "-1"),
+                                            ("--lr", "nan"), ("--lr", "inf")])
+    def test_bad_flag_usage_error_before_dataset_load(
+            self, dataset_dir, tmp_path, monkeypatch, capsys, flag, value):
+        def load_triplet_dir(_path):
+            pytest.fail("the dataset was loaded before the flags were checked")
+        monkeypatch.setattr(cli, "load_triplet_dir", load_triplet_dir)
+        rc = main(["train", "--dataset", str(dataset_dir), flag, value,
+                   "--out", str(tmp_path / "p.sspm")])
+        assert rc == 2
+        assert flag in capsys.readouterr().err
+        assert os.listdir(tmp_path) == []
+
     def test_empty_dataset_usage_error(self, tmp_path):
         empty = tmp_path / "empty"
         empty.mkdir()
@@ -621,3 +646,46 @@ class TestModelLoading:
                    "--image", str(dataset_dir / "shadow_0000.ppm"),
                    "--out-prefix", str(tmp_path / "x")])
         assert rc == 2
+
+
+MEMORY_PROBE = """
+import resource, sys
+import numpy as np
+from shadowstorm import cli
+assert cli.main(["gen", "--count", "1", "--size", "32x32",
+                 "--out", sys.argv[1]]) == 0
+np.ones(1 << 18)  # the heap grows once to hold a 2 MB array
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+for _ in range(100):
+    np.ones(1 << 18)
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+class TestMemoryPolicy:
+    @pytest.mark.skipif(platform.libc_ver()[0] != "glibc",
+                        reason="the allocator policy is glibc's")
+    def test_freed_arrays_stay_in_the_heap(self, tmp_path):
+        """After one CLI command, a freed 2 MB array is reused, not
+        unmapped and faulted in afresh on the next allocation."""
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        env["PYTHONPATH"] = os.pathsep.join(
+            [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+        proc = subprocess.run([sys.executable, "-c", MEMORY_PROBE,
+                               str(tmp_path / "ds")],
+                              env=env, capture_output=True, text=True,
+                              timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert int(proc.stdout.splitlines()[-1]) < 100
+
+    @pytest.mark.parametrize("error", [AttributeError, ValueError, OSError])
+    def test_no_call_without_glibc(self, monkeypatch, error):
+        def confstr(_name):
+            raise error("no such configuration name")
+
+        def cdll(_name):
+            pytest.fail("the C library was opened off glibc")
+        monkeypatch.setattr(cli.os, "confstr", confstr)
+        monkeypatch.setattr(cli.ctypes, "CDLL", cdll)
+        cli._retain_freed_memory()
