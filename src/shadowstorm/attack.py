@@ -5,7 +5,7 @@ its output on the perturbed image, by iterated sign-gradient ascent followed
 by coordinate-wise projection onto a per-pixel feasible box:
 
   * uniform mode: delta_i in [-eps, eps] intersected with [-I_i, 1 - I_i];
-  * adaptive mode: |delta_i| <= eps * max(I_i, floor), same intersection,
+  * adaptive mode: |delta_i| <= eps * max(I_i, 1/255), same intersection,
     so dark pixels get proportionally smaller budgets.
 
 The two budgets are comparable through the mean-intensity mapping
@@ -21,8 +21,8 @@ from typing import Callable
 
 import numpy as np
 
-from .imagecore import (DEFAULT_INTENSITY_FLOOR, Image, Perturbation,
-                        effective_intensity, mean_intensity)
+from .imagecore import (Image, Perturbation, effective_intensity,
+                        mean_intensity)
 from .models import DiffModel
 from .rng import Xoshiro256StarStar
 
@@ -43,8 +43,6 @@ class AttackConfig:
     epsilon is the budget: an absolute bound in uniform mode, a fraction of
     each pixel's intensity in adaptive mode. The step size is epsilon /
     step_divisor, per coordinate and intensity-scaled in adaptive mode.
-    intensity_floor substitutes for intensities below it so zero pixels
-    keep a one-level budget instead of none.
     """
 
     mode: str
@@ -52,7 +50,6 @@ class AttackConfig:
     iterations: int = 20
     step_divisor: float = 4.0
     seed: int = 0
-    intensity_floor: float = DEFAULT_INTENSITY_FLOOR
 
     def __post_init__(self):
         if self.mode not in (MODE_UNIFORM, MODE_ADAPTIVE):
@@ -64,9 +61,6 @@ class AttackConfig:
         if not 0.0 < self.step_divisor < np.inf:
             raise ValueError(
                 f"step_divisor must be positive and finite, got {self.step_divisor}")
-        if not 0.0 < self.intensity_floor <= 1.0:
-            raise ValueError(
-                f"intensity_floor must lie in (0, 1], got {self.intensity_floor}")
 
 
 @dataclass(frozen=True)
@@ -106,7 +100,7 @@ def budget_box(image: Image, config: AttackConfig) -> BudgetBox:
     if config.mode == MODE_UNIFORM:
         radius = np.full_like(intens, config.epsilon)
     else:
-        radius = config.epsilon * effective_intensity(image, config.intensity_floor)
+        radius = config.epsilon * effective_intensity(image)
     lower = np.maximum(-radius, -intens)
     upper = np.minimum(radius, 1.0 - intens)
     return BudgetBox(lower=lower, upper=upper)
@@ -140,8 +134,7 @@ def attack_objective(anchor: Image, attacked_output: Image) -> tuple[float, np.n
 
 def _step_size(image: Image, config: AttackConfig) -> np.ndarray | float:
     if config.mode == MODE_ADAPTIVE:
-        return (config.epsilon / config.step_divisor) * effective_intensity(
-            image, config.intensity_floor)
+        return (config.epsilon / config.step_divisor) * effective_intensity(image)
     return config.epsilon / config.step_divisor
 
 
@@ -164,7 +157,7 @@ def pgd_attack(model: DiffModel, image: Image, config: AttackConfig,
     if box.is_degenerate:
         log.warning("budget box is degenerate (no coordinate can move); "
                     "the attack will return delta = 0")
-    delta = np.array(init_delta(box, config.seed).data)
+    delta = init_delta(box, config.seed).data  # frozen; only ever rebound
     if anchor is None:
         anchor = model.forward(image)
     step = _step_size(image, config)
@@ -213,7 +206,7 @@ class L1BoundReport:
 
     mean_abs is (1/n) * sum |delta_i|; bound is epsilon_a times the mean
     floored intensity. per_pixel_ok tracks the stronger coordinate-wise
-    constraint |delta_i| <= epsilon_a * max(I_i, floor); on violation
+    constraint |delta_i| <= epsilon_a * max(I_i, 1/255); on violation
     first_violation names the offending (row, col, channel) coordinate.
     """
 
@@ -231,14 +224,13 @@ class L1BoundReport:
 
 
 def verify_l1_bound(delta: Perturbation, image: Image, epsilon_a: float,
-                    floor: float = DEFAULT_INTENSITY_FLOOR,
                     tol: float = 1e-9) -> L1BoundReport:
     """Check an adaptive perturbation against its theoretical l1 budget."""
     if delta.shape != image.shape:
         raise ValueError(
             f"delta shape {delta.shape} does not match image shape {image.shape}")
     abs_delta = np.abs(delta.data)
-    ieff = effective_intensity(image, floor)
+    ieff = effective_intensity(image)
     mean_abs = float(np.mean(abs_delta))
     bound = epsilon_a * float(np.mean(ieff))
     mean_ok = mean_abs <= bound + tol

@@ -7,20 +7,19 @@ references: the ground-truth shadow-free image (columns prefixed gt_) and
 the model's clean output (columns prefixed clean_). Rows are sorted by
 (image_id, mode, epsilon) so output bytes do not depend on scheduling.
 
-runtime_ms is 0 unless timing is requested: wall-clock times would break
-the byte-for-byte determinism the CSV promises.
+runtime_ms is always 0, kept so v1 CSV bytes hold: a wall-clock time would
+break the byte-for-byte determinism the CSV promises.
 """
 
 from __future__ import annotations
 
 import math
-import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields
 
 from .attack import (AttackConfig, AttackResult, equivalent_uniform_budget,
                      pgd_attack)
-from .imagecore import DEFAULT_INTENSITY_FLOOR, Image, ShadowMask, write_atomic
+from .imagecore import Image, ShadowMask, write_atomic
 from .metrics import (perturbation_norms, psnr, region_psnr, region_ssim,
                       ssim)
 from .models import DiffModel
@@ -103,44 +102,38 @@ def region_metrics(references: list[Image], test: Image,
 
 
 def result_row(image_id: str, epsilon_nominal: float, result: AttackResult,
-               image: Image, free: Image | None, mask: ShadowMask | None,
-               started: float | None = None) -> ResultRow:
+               image: Image, free: Image | None,
+               mask: ShadowMask | None) -> ResultRow:
     """Measure one finished attack on `image`: region metrics against the
     shadow-free reference `free` (NaN without one) and against the clean
-    output, and the perturbation norms. runtime_ms is the wall time since
-    `started`, a time.perf_counter reading, or 0 without one."""
+    output, and the perturbation norms."""
     config = result.config
     references = [ref for ref in (free, result.clean_output) if ref is not None]
     scores = region_metrics(references, result.attacked_output, mask)
     gt = (float("nan"),) * 6 if free is None else scores[0]
     clean = scores[-1]
-    norms = perturbation_norms(result.perturbation, image,
-                               config.intensity_floor)
-    elapsed_ms = (0.0 if started is None
-                  else (time.perf_counter() - started) * 1000.0)
+    norms = perturbation_norms(result.perturbation, image)
     return ResultRow(image_id, config.mode, epsilon_nominal, config.epsilon,
                      *gt, *clean,
                      norms.l1_mean, norms.linf, norms.linf_normalized,
-                     config.iterations, elapsed_ms)
+                     config.iterations, 0.0)
 
 
 def evaluate_cell(model: DiffModel, image_id: str, triplet: Triplet,
                   mode: str, epsilon_nominal: float, *, anchor: Image,
                   equalize: bool, iterations: int, step_divisor: float,
-                  seed: int, floor: float, timing: bool = False) -> ResultRow:
+                  seed: int) -> ResultRow:
     """Attack one image at one budget and measure everything; `anchor` is
     the model's clean output on the image."""
-    started = time.perf_counter() if timing else None
     epsilon = epsilon_nominal
     if mode == "uniform" and equalize:
         epsilon = equivalent_uniform_budget(triplet.shadow, epsilon_nominal)
     config = AttackConfig(mode=mode, epsilon=epsilon, iterations=iterations,
                           step_divisor=step_divisor,
-                          seed=cell_seed(seed, image_id, mode, epsilon_nominal),
-                          intensity_floor=floor)
+                          seed=cell_seed(seed, image_id, mode, epsilon_nominal))
     result = pgd_attack(model, triplet.shadow, config, anchor=anchor)
     return result_row(image_id, epsilon_nominal, result, triplet.shadow,
-                      triplet.shadow_free, triplet.mask, started)
+                      triplet.shadow_free, triplet.mask)
 
 
 @dataclass(frozen=True)
@@ -154,9 +147,8 @@ class SweepFailure:
 
 def run_sweep(model: DiffModel, triplets: list[tuple[int, Triplet]],
               budgets, modes, *, equalize: bool = False, iterations: int = 20,
-              step_divisor: float = 4.0, seed: int = 0,
-              floor: float = DEFAULT_INTENSITY_FLOOR, jobs: int = 1,
-              timing: bool = False) -> tuple[list[ResultRow], list[SweepFailure]]:
+              step_divisor: float = 4.0, seed: int = 0, jobs: int = 1
+              ) -> tuple[list[ResultRow], list[SweepFailure]]:
     """Attack every (image, mode, budget) cell; continue past failures.
 
     Returns rows sorted by (image_id, mode, epsilon_nominal) plus any
@@ -179,7 +171,7 @@ def run_sweep(model: DiffModel, triplets: list[tuple[int, Triplet]],
         return evaluate_cell(model, image_id, by_id[image_id], mode, eps,
                              anchor=anchor, equalize=equalize,
                              iterations=iterations, step_divisor=step_divisor,
-                             seed=seed, floor=floor, timing=timing)
+                             seed=seed)
 
     rows: list[ResultRow] = []
     failures: list[SweepFailure] = []

@@ -3,8 +3,7 @@
 Exit codes: 0 success, 1 failed cells in a sweep, 2 usage error, 3 I/O or
 file-format error, 4 numeric failure (also a sweep that wrote no row
 because every cell failed numerically), 5 validation failure.
-All commands are deterministic under fixed flags; `bench --timing` opts
-into wall-clock runtime_ms at the cost of byte-stable output.
+All commands are deterministic under fixed flags.
 """
 
 from __future__ import annotations
@@ -18,8 +17,8 @@ import numpy as np
 
 from . import bench, metrics
 from .attack import AttackConfig, pgd_attack
-from .imagecore import (DEFAULT_INTENSITY_FLOOR, Image, PnmError, ShadowMask,
-                        load_mask, load_pnm, save_pnm, write_atomic)
+from .imagecore import (Image, PnmError, ShadowMask, load_mask, load_pnm,
+                        save_pnm, write_atomic)
 from .models import (ParamsError, load_params, model_gainmap, model_identity,
                      model_tinycnn, model_tinycnn_from_params, probe_gradients,
                      save_params, train_toy)
@@ -148,7 +147,7 @@ def cmd_attack(args) -> int:
                          f"image has {image.shape}")
     config = AttackConfig(mode=args.mode, epsilon=args.eps,
                           iterations=args.iters, step_divisor=args.step_div,
-                          seed=args.seed, intensity_floor=args.floor)
+                          seed=args.seed)
     model = load_model(args.model)
     result = pgd_attack(model, image, config)
 
@@ -161,8 +160,7 @@ def cmd_attack(args) -> int:
     save_pnm(result.attacked_image, f"{prefix}_attacked.{ext}")
     delta_stretch = _write_stretched(result.perturbation.data,
                                      f"{prefix}_delta_viz.{ext}")
-    norm_map = metrics.normalized_perturbation_map(result.perturbation, image,
-                                                   args.floor)
+    norm_map = metrics.normalized_perturbation_map(result.perturbation, image)
     norm_stretch = _write_stretched(norm_map, f"{prefix}_normmap.{ext}")
     bench.write_csv(f"{prefix}.csv", [row], extra_comments=(
         f"# delta_viz_stretch {bench.fmt_value(delta_stretch)}",
@@ -177,6 +175,8 @@ def cmd_bench(args) -> int:
     _check_flags(counts=(("--iters", args.iters), ("--jobs", args.jobs)),
                  reals=(("--step-div", args.step_div),))
     triplets = load_triplet_dir(args.dataset)
+    if not triplets:
+        raise UsageError(f"no triplets in {args.dataset}")
     for index, triplet in triplets:
         _check_ssim_size(triplet.shadow, f"triplet {index:04d}")
         _check_mask(triplet.mask, f"triplet {index:04d} mask")
@@ -197,7 +197,7 @@ def cmd_bench(args) -> int:
     rows, failures = bench.run_sweep(
         model, triplets, budgets, modes, equalize=args.equalize,
         iterations=args.iters, step_divisor=args.step_div, seed=args.seed,
-        floor=args.floor, jobs=args.jobs, timing=args.timing)
+        jobs=args.jobs)
     comments = (f"# model {model.name}", f"# dataset {args.dataset}",
                 f"# equalize {int(args.equalize)}")
     bench.write_csv(args.out, rows, failures, extra_comments=comments)
@@ -286,7 +286,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--iters", type=int, default=20)
     p.add_argument("--step-div", type=float, default=4.0)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--floor", type=parse_budget, default=DEFAULT_INTENSITY_FLOOR)
     p.add_argument("--model", default="gainmap")
     p.add_argument("--image", required=True)
     p.add_argument("--mask", default=None)
@@ -305,10 +304,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--iters", type=int, default=20)
     p.add_argument("--step-div", type=float, default=4.0)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--floor", type=parse_budget, default=DEFAULT_INTENSITY_FLOOR)
     p.add_argument("--jobs", type=int, default=1)
-    p.add_argument("--timing", action="store_true",
-                   help="record wall-clock runtime_ms (breaks byte determinism)")
     p.add_argument("--out", required=True)
     p.add_argument("--plot-out", default=None)
     p.set_defaults(func=cmd_bench)

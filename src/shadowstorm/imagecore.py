@@ -226,14 +226,14 @@ def write_atomic(path, payload: bytes) -> None:
         raise
 
 
-def load_mask(path, threshold: float = 0.5) -> ShadowMask:
-    """Load a P5 grayscale file as a binary mask: 1 where v/255 > threshold."""
+def load_mask(path) -> ShadowMask:
+    """Load a P5 grayscale file as a binary mask: 1 where v/255 > 0.5."""
     with open(path, "rb") as fh:
         raw = fh.read()
     height, width, channels, data = _parse_pnm(raw, path)
     if channels != 1:
         raise PnmError("mask must be single-channel (P5)", 0)
-    return ShadowMask((data.reshape(height, width) / 255.0 > threshold)
+    return ShadowMask((data.reshape(height, width) / 255.0 > 0.5)
                       .astype(np.uint8))
 
 
@@ -248,10 +248,10 @@ def mean_intensity(image: Image) -> float:
     return float(np.mean(image.data))
 
 
-DEFAULT_INTENSITY_FLOOR = 1.0 / 255.0
+# one 8-bit level: a black pixel keeps some adaptive budget instead of none
+INTENSITY_FLOOR = 1.0 / 255.0
 
 
-def effective_intensity(image: Image,
-                        floor: float = DEFAULT_INTENSITY_FLOOR) -> np.ndarray:
-    """Pixel intensities with the floor substituted below it."""
-    return np.maximum(image.data, floor)
+def effective_intensity(image: Image) -> np.ndarray:
+    """Pixel intensities with INTENSITY_FLOOR substituted below it."""
+    return np.maximum(image.data, INTENSITY_FLOOR)

@@ -174,6 +174,9 @@ class TinyCnnModel(TapeModel):
         return ad.clamp01(ad.add(x, res))
 
     def load_state(self, params: Mapping[str, np.ndarray]) -> None:
+        unknown = sorted(set(params) - {pname for pname, _ in self.LAYOUT})
+        if unknown:
+            raise ParamsError(f"unknown parameter tensor '{unknown[0]}'")
         for pname, shape in self.LAYOUT:
             if pname not in params:
                 raise ParamsError(f"missing parameter tensor '{pname}'")
@@ -349,6 +352,11 @@ def load_params(path) -> dict[str, np.ndarray]:
         except struct.error:
             raise ParamsError(
                 f"truncated file while reading tensor {label}") from None
+        if name in out:
+            raise ParamsError(f"duplicate tensor {label}")
         out[name] = np.frombuffer(payload, dtype="<f8").astype(
             np.float64).reshape(shape)
+    if pos != len(raw):
+        raise ParamsError(
+            f"{len(raw) - pos} trailing bytes after {count} tensors")
     return out

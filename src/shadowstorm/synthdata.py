@@ -15,7 +15,6 @@ shape(s), then the attenuation factor k.
 
 from __future__ import annotations
 
-import logging
 import math
 import os
 import re
@@ -27,8 +26,6 @@ from . import autodiff as ad
 from .imagecore import (Image, ShadowMask, load_mask, load_pnm, save_mask,
                         save_pnm, write_atomic)
 from .rng import Xoshiro256StarStar, derive_seed
-
-log = logging.getLogger(__name__)
 
 MANIFEST_NAME = "manifest.tsv"
 MASK_REJECTION_LIMIT = 100
@@ -273,9 +270,6 @@ def load_triplet_dir(directory) -> list[tuple[int, Triplet]]:
         m = _TRIPLET_RE.match(name)
         if m:
             indices.add(int(m.group(2)))
-    if not indices:
-        log.warning("no triplets found in %s", directory)
-        return []
     triplets = []
     for index in sorted(indices):
         shadow_path, mask_path, free_path = triplet_paths(directory, index)

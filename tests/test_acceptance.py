@@ -142,8 +142,7 @@ def test_criterion_02_mean_l1_budget_bound():
                                   iterations=4, seed=run)
             results.append((pgd_attack(model, image, config), image, config))
     for result, image, config in results:
-        check = verify_l1_bound(result.perturbation, image, config.epsilon,
-                                floor=config.intensity_floor)
+        check = verify_l1_bound(result.perturbation, image, config.epsilon)
         assert check.ok, (check.mean_abs, check.bound, check.first_violation)
 
     # equality case: every coordinate exactly on its adaptive face

@@ -5,10 +5,12 @@ import numpy as np
 import pytest
 
 from shadowstorm.attack import (AttackConfig, BudgetBox, NonFiniteGradientError,
-                                budget_box, equivalent_uniform_budget,
-                                init_delta, pgd_attack, verify_l1_bound)
-from shadowstorm.imagecore import Image, Perturbation
-from shadowstorm.metrics import perturbation_norms, psnr
+                                _step_size, budget_box,
+                                equivalent_uniform_budget, init_delta,
+                                pgd_attack, verify_l1_bound)
+from shadowstorm.imagecore import INTENSITY_FLOOR, Image, Perturbation
+from shadowstorm.metrics import (normalized_perturbation_map,
+                                 perturbation_norms, psnr)
 from shadowstorm.models import model_gainmap, model_identity, model_tinycnn
 from shadowstorm.rng import Xoshiro256StarStar
 from shadowstorm.synthdata import SynthConfig, gen_triplet
@@ -61,6 +63,27 @@ class TestBudgetBox:
             assert np.all(box.upper >= 0.0)
 
 
+BLACK = Image(np.zeros((2, 2, 1)))
+ADAPTIVE = AttackConfig(mode="adaptive", epsilon=0.5, step_divisor=4.0)
+SMALL_DELTA = Perturbation(np.full((2, 2, 1), 0.25))
+
+
+@pytest.mark.parametrize("use,expected", [
+    (lambda: budget_box(BLACK, ADAPTIVE).upper, 0.5 * INTENSITY_FLOOR),
+    (lambda: _step_size(BLACK, ADAPTIVE), (0.5 / 4.0) * INTENSITY_FLOOR),
+    (lambda: perturbation_norms(SMALL_DELTA, BLACK).linf_normalized,
+     0.25 / INTENSITY_FLOOR),
+    (lambda: normalized_perturbation_map(SMALL_DELTA, BLACK),
+     0.25 / INTENSITY_FLOOR),
+    (lambda: verify_l1_bound(SMALL_DELTA, BLACK, 0.5).bound,
+     0.5 * INTENSITY_FLOOR),
+], ids=["budget_box", "step_size", "linf_normalized", "normalized_map",
+        "l1_bound"])
+def test_black_pixel_gets_the_intensity_floor(use, expected):
+    assert INTENSITY_FLOOR == 1.0 / 255.0
+    assert np.all(use() == expected)
+
+
 class TestAttackConfig:
     def test_rejects_bad_values(self):
         with pytest.raises(ValueError, match="epsilon"):
@@ -74,8 +97,6 @@ class TestAttackConfig:
         for divisor in (0.0, -1.0, float("nan"), float("inf")):
             with pytest.raises(ValueError, match="step_divisor"):
                 AttackConfig(mode="uniform", epsilon=0.1, step_divisor=divisor)
-        with pytest.raises(ValueError, match="intensity_floor"):
-            AttackConfig(mode="adaptive", epsilon=0.1, intensity_floor=0.0)
 
 
 class TestInitDelta:

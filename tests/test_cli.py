@@ -83,6 +83,22 @@ class TestParsers:
         assert rc == 2
         assert "--size" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command,retired", [
+        ("attack", ["--floor", "2/255"]), ("bench", ["--floor", "2/255"]),
+        ("bench", ["--timing"])], ids=["attack-floor", "bench-floor",
+                                        "bench-timing"])
+    def test_retired_flag_usage_error(self, dataset_dir, tmp_path, capsys,
+                                      command, retired):
+        # a script that still passes one must fail, not run another setup
+        argv = {"attack": ["attack", "--mode", "adaptive", "--eps", "2/255",
+                           "--image", str(dataset_dir / "shadow_0000.ppm"),
+                           "--out-prefix", str(tmp_path / "x")],
+                "bench": ["bench", "--dataset", str(dataset_dir),
+                          "--out", str(tmp_path / "r.csv")]}[command]
+        assert main(argv + retired) == 2
+        assert retired[0] in capsys.readouterr().err
+        assert os.listdir(tmp_path) == []
+
 
 class TestGen:
     def test_writes_files_and_is_deterministic(self, tmp_path):
@@ -627,6 +643,17 @@ class TestTrain:
                    "--out", str(tmp_path / "p.sspm")])
         assert rc == 2
 
+    def test_bench_empty_dataset_usage_error(self, tmp_path, monkeypatch,
+                                             capsys):
+        forbid_model_load(monkeypatch)
+        empty = tmp_path / "empty"
+        empty.mkdir()
+        rc = main(["bench", "--dataset", str(empty),
+                   "--out", str(tmp_path / "r.csv")])
+        assert rc == 2
+        assert "no triplets" in capsys.readouterr().err
+        assert os.listdir(tmp_path) == ["empty"]
+
 
 class TestModelLoading:
     def test_params_file_round_trip_through_cli(self, dataset_dir, tmp_path):
@@ -639,6 +666,27 @@ class TestModelLoading:
                    "--out-prefix", prefix])
         assert rc == 0
         assert load_pnm(prefix + "_attacked.ppm").shape == (32, 32, 3)
+
+    @pytest.mark.parametrize("kind", ["extra-tensor", "duplicate-name",
+                                      "trailing-bytes"])
+    def test_params_file_save_params_never_writes_io_error(
+            self, dataset_dir, tmp_path, kind):
+        params = model_tinycnn(seed=6).snapshot()
+        if kind == "extra-tensor":
+            params["k4"] = np.zeros(1)
+        save_params(params, tmp_path / "m.sspm")
+        blob = (tmp_path / "m.sspm").read_bytes()
+        if kind == "duplicate-name":  # every record twice, count doubled
+            blob = blob[:8] + struct.pack("<I", 2 * len(params)) + blob[12:] * 2
+        elif kind == "trailing-bytes":
+            blob += b"\x00" * 8
+        (tmp_path / "m.sspm").write_bytes(blob)
+        rc = main(["attack", "--mode", "uniform", "--eps", "2/255",
+                   "--iters", "2", "--model", str(tmp_path / "m.sspm"),
+                   "--image", str(dataset_dir / "shadow_0000.ppm"),
+                   "--out-prefix", str(tmp_path / "x")])
+        assert rc == 3
+        assert os.listdir(tmp_path) == ["m.sspm"]
 
     def test_unknown_model_usage_error(self, dataset_dir, tmp_path):
         rc = main(["attack", "--mode", "uniform", "--eps", "2/255",

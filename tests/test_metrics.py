@@ -225,7 +225,7 @@ class TestPerturbationNorms:
     def test_dark_pixel_floor(self):
         img = Image(np.zeros((1, 1, 1)))
         delta = Perturbation(np.full((1, 1, 1), 1 / 255))
-        nmap = normalized_perturbation_map(delta, img, floor=1 / 255)
+        nmap = normalized_perturbation_map(delta, img)
         assert nmap[0, 0, 0] == pytest.approx(1.0)
 
 

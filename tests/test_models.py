@@ -1,4 +1,5 @@
 import gc
+import struct
 import weakref
 
 import numpy as np
@@ -309,6 +310,25 @@ class TestParamsIO:
         clone = model_tinycnn_from_params(load_params(path))
         img = random_image(30)
         assert np.array_equal(model.forward(img).data, clone.forward(img).data)
+
+    @pytest.mark.parametrize("tail,match", [
+        ("duplicate", "duplicate tensor 'b1'"), ("trailing", "trailing bytes")])
+    def test_rejects_what_save_params_never_writes(self, tmp_path, tail, match):
+        path = tmp_path / "m.sspm"
+        save_params({"b1": np.zeros(2)}, path)
+        blob = path.read_bytes()
+        if tail == "duplicate":  # the same record twice, count raised to 2
+            blob = blob[:8] + struct.pack("<I", 2) + blob[12:] + blob[12:]
+        else:
+            blob += b"\x00" * 8
+        path.write_bytes(blob)
+        with pytest.raises(ParamsError, match=match):
+            load_params(path)
+
+    def test_unknown_tensor_rejected(self):
+        params = {**model_tinycnn(seed=1).snapshot(), "k4": np.zeros(1)}
+        with pytest.raises(ParamsError, match="unknown.*'k4'"):
+            model_tinycnn_from_params(params)
 
     def test_wrong_shape_rejected(self):
         params = model_tinycnn(seed=1).snapshot()
