@@ -464,11 +464,12 @@ def grad_check(f: Callable[[Tensor], Tensor], x: np.ndarray,
     smooth = ~(central_disagree | jump_like)
     rel = np.where(smooth, np.abs(analytic - numeric) / scale, 0.0)
     if rel.size and smooth.any():
-        worst = np.unravel_index(int(np.argmax(rel)), rel.shape)
+        worst = tuple(int(i) for i in
+                      np.unravel_index(int(np.argmax(rel)), rel.shape))
         max_rel = float(rel.max())
     else:
         worst, max_rel = (), 0.0
-    return GradCheckReport(max_rel_error=max_rel, worst_coord=tuple(worst),
+    return GradCheckReport(max_rel_error=max_rel, worst_coord=worst,
                            scale=scale, tolerance=tol, passed=max_rel < tol,
                            checked_count=int(smooth.sum()),
                            nonsmooth_count=int((~smooth).sum()))

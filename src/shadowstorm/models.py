@@ -10,9 +10,11 @@ Every model exposes exactly two capabilities consumed by the attacks:
 
 Anything implementing that pair can be attacked; the bundled zoo holds an
 identity map (analytic test target), an illumination gain-map corrector,
-and a tiny residual CNN with a toy full-batch trainer. Zoo parameters rest
-with ``requires_grad=False``, so attacks differentiate the input only;
-:func:`train_toy` turns parameter gradients on for its own run.
+and a tiny residual CNN with a toy full-batch trainer. Zoo parameters are
+constant tensors over read-only arrays and never carry gradient state, so
+attacks differentiate the input only; :func:`train_toy` differentiates
+fresh leaf tensors over them each epoch and stores the step through
+``load_state``.
 """
 
 from __future__ import annotations
@@ -53,23 +55,25 @@ class DiffModel(Protocol):
 
 class TapeModel:
     """Base for zoo models: implements the capability pair on top of a
-    tensor-level ``forward_t``."""
+    tensor-level ``forward_t(x, params)``. ``LAYOUT`` names the parameter
+    tensors and their shapes."""
 
     name = "tape"
+    LAYOUT: Sequence[tuple[str, tuple[int, ...]]] = ()
 
     def __init__(self):
         self.params: dict[str, Tensor] = {}
 
-    def forward_t(self, x: Tensor) -> Tensor:
+    def forward_t(self, x: Tensor, params: Mapping[str, Tensor]) -> Tensor:
         raise NotImplementedError
 
     def forward(self, image: Image) -> Image:
-        return self._output(self.forward_t(Tensor(image.data)))
+        return self._output(self.forward_t(Tensor(image.data), self.params))
 
     def vjp(self, image: Image
             ) -> tuple[Image, Callable[[np.ndarray], np.ndarray]]:
         leaf = Tensor(image.data, requires_grad=True)
-        out = self.forward_t(leaf)
+        out = self.forward_t(leaf, self.params)
 
         def pullback(cotangent: np.ndarray) -> np.ndarray:
             out.backward(cotangent)
@@ -89,18 +93,29 @@ class TapeModel:
     def input_grad(self, image: Image, cotangent: np.ndarray) -> np.ndarray:
         return self.vjp(image)[1](cotangent)
 
-    def zero_grad(self) -> None:
-        for p in self.params.values():
-            p.grad = None
-
-    def snapshot(self) -> dict[str, np.ndarray]:
-        return {name: p.data.copy() for name, p in self.params.items()}
+    def load_state(self, params: Mapping[str, np.ndarray]) -> None:
+        """Replace the parameters with constant tensors over read-only
+        float64 copies of `params`, which must match ``LAYOUT`` exactly."""
+        unknown = sorted(set(params) - {pname for pname, _ in self.LAYOUT})
+        if unknown:
+            raise ParamsError(f"unknown parameter tensor '{unknown[0]}'")
+        state = {}
+        for pname, shape in self.LAYOUT:
+            if pname not in params:
+                raise ParamsError(f"missing parameter tensor '{pname}'")
+            arr = np.array(params[pname], dtype=np.float64)
+            if arr.shape != shape:
+                raise ParamsError(
+                    f"parameter '{pname}' has shape {arr.shape}, expected {shape}")
+            arr.flags.writeable = False
+            state[pname] = Tensor(arr)
+        self.params = state
 
 
 class IdentityModel(TapeModel):
     name = "identity"
 
-    def forward_t(self, x: Tensor) -> Tensor:
+    def forward_t(self, x: Tensor, params: Mapping[str, Tensor]) -> Tensor:
         return x
 
 
@@ -134,7 +149,7 @@ class GainMapModel(TapeModel):
         self._kernel = ad.box_kernel(blur_radius)
         self.name = f"gainmap(r={blur_radius},g={max_gain:g})"
 
-    def forward_t(self, x: Tensor) -> Tensor:
+    def forward_t(self, x: Tensor, params: Mapping[str, Tensor]) -> Tensor:
         h, w = x.data.shape[0], x.data.shape[1]
         lum = ad.mean_channels(x)
         mu = ad.smul(ad.tsum(lum), 1.0 / (h * w))
@@ -152,7 +167,7 @@ class TinyCnnModel(TapeModel):
     :func:`train_toy` to get a model that actually removes shadows.
     """
 
-    LAYOUT: Sequence[tuple[str, tuple[int, ...]]] = (
+    LAYOUT = (
         ("k1", (3, 3, 3, 8)), ("b1", (8,)),
         ("k2", (3, 3, 8, 8)), ("b2", (8,)),
         ("k3", (3, 3, 8, 3)), ("b3", (3,)),
@@ -163,28 +178,14 @@ class TinyCnnModel(TapeModel):
         self.seed = seed
         self.name = f"tinycnn(seed={seed})"
         rng = Xoshiro256StarStar(seed)
-        for pname, shape in self.LAYOUT:
-            self.params[pname] = Tensor(rng.fill_uniform(shape, -0.1, 0.1))
+        self.load_state({pname: rng.fill_uniform(shape, -0.1, 0.1)
+                         for pname, shape in self.LAYOUT})
 
-    def forward_t(self, x: Tensor) -> Tensor:
-        p = self.params
-        h1 = ad.relu(ad.conv2d(x, p["k1"], p["b1"]))
-        h2 = ad.relu(ad.conv2d(h1, p["k2"], p["b2"]))
-        res = ad.conv2d(h2, p["k3"], p["b3"])
+    def forward_t(self, x: Tensor, params: Mapping[str, Tensor]) -> Tensor:
+        h1 = ad.relu(ad.conv2d(x, params["k1"], params["b1"]))
+        h2 = ad.relu(ad.conv2d(h1, params["k2"], params["b2"]))
+        res = ad.conv2d(h2, params["k3"], params["b3"])
         return ad.clamp01(ad.add(x, res))
-
-    def load_state(self, params: Mapping[str, np.ndarray]) -> None:
-        unknown = sorted(set(params) - {pname for pname, _ in self.LAYOUT})
-        if unknown:
-            raise ParamsError(f"unknown parameter tensor '{unknown[0]}'")
-        for pname, shape in self.LAYOUT:
-            if pname not in params:
-                raise ParamsError(f"missing parameter tensor '{pname}'")
-            arr = np.asarray(params[pname], dtype=np.float64)
-            if arr.shape != shape:
-                raise ParamsError(
-                    f"parameter '{pname}' has shape {arr.shape}, expected {shape}")
-            self.params[pname] = Tensor(arr.copy())
 
 
 def model_identity() -> IdentityModel:
@@ -226,7 +227,8 @@ def probe_gradients(model: TapeModel, seed: int, inputs: int,
         x = rng.fill_uniform(shape, 0.2, 0.8)
         cot = Tensor(rng.fill_uniform(shape, -1.0, 1.0))
         report = ad.grad_check(
-            lambda t: ad.tsum(ad.mul(model.forward_t(t), cot)), x, h=h, tol=tol)
+            lambda t: ad.tsum(ad.mul(model.forward_t(t, model.params), cot)),
+            x, h=h, tol=tol)
         if report.checked_count < 0.95 * x.size:
             redraws += 1
         else:
@@ -249,9 +251,10 @@ def train_toy(model: TapeModel,
     dataset holds (shadow, shadow-free) pairs of identical shape. Plain GD
     with no momentum keeps the run deterministic; the trainer draws no
     randomness, so the model's initialization seed fixes the whole run.
-    Parameter gradients are on only while it runs. Returns a copy of the
-    final parameters; per-epoch losses go to `on_epoch` and the module
-    logger.
+    Each epoch differentiates fresh leaf tensors over the parameters and
+    stores the step through ``load_state``. Returns the model's final
+    read-only parameter arrays; per-epoch losses go to `on_epoch` and the
+    module logger.
     """
     if not dataset:
         raise ValueError("training dataset must be non-empty")
@@ -263,37 +266,28 @@ def train_toy(model: TapeModel,
                 f"{shadow.shape} vs {free.shape}")
     n_values = int(np.prod(shape))
 
-    trainable = model.params.values()
-    for p in trainable:
-        p.requires_grad = True
-    try:
-        for epoch in range(epochs):
-            model.zero_grad()
-            loss: Tensor | None = None
-            for shadow, free in dataset:
-                pred = model.forward_t(Tensor(shadow.data))
-                err = ad.sub(pred, Tensor(free.data))
-                term = ad.smul(ad.sqnorm(err), 1.0 / n_values)
-                loss = term if loss is None else ad.add(loss, term)
-            loss = ad.smul(loss, 1.0 / len(dataset))
-            value = float(loss.data)
-            if not np.isfinite(value):
-                raise DivergenceError(
-                    f"training loss became non-finite at epoch {epoch}; "
-                    f"try a smaller lr than {lr}")
-            loss.backward()
-            for p in trainable:
-                if p.grad is not None:
-                    p.data = p.data - lr * p.grad
-            log.debug("epoch %d loss %.6g", epoch, value)
-            if on_epoch is not None:
-                on_epoch(epoch, value)
-    finally:
-        # parameters rest frozen, so attacks never differentiate into them
-        model.zero_grad()
-        for p in trainable:
-            p.requires_grad = False
-    return model.snapshot()
+    for epoch in range(epochs):
+        leaves = {name: Tensor(p.data, requires_grad=True)
+                  for name, p in model.params.items()}
+        loss: Tensor | None = None
+        for shadow, free in dataset:
+            pred = model.forward_t(Tensor(shadow.data), leaves)
+            err = ad.sub(pred, Tensor(free.data))
+            term = ad.smul(ad.sqnorm(err), 1.0 / n_values)
+            loss = term if loss is None else ad.add(loss, term)
+        loss = ad.smul(loss, 1.0 / len(dataset))
+        value = float(loss.data)
+        if not np.isfinite(value):
+            raise DivergenceError(
+                f"training loss became non-finite at epoch {epoch}; "
+                f"try a smaller lr than {lr}")
+        loss.backward()
+        model.load_state({name: leaf.data - lr * leaf.grad
+                          for name, leaf in leaves.items()})
+        log.debug("epoch %d loss %.6g", epoch, value)
+        if on_epoch is not None:
+            on_epoch(epoch, value)
+    return {name: p.data for name, p in model.params.items()}
 
 
 def save_params(params: Mapping[str, np.ndarray], path) -> None:
@@ -354,8 +348,10 @@ def load_params(path) -> dict[str, np.ndarray]:
                 f"truncated file while reading tensor {label}") from None
         if name in out:
             raise ParamsError(f"duplicate tensor {label}")
-        out[name] = np.frombuffer(payload, dtype="<f8").astype(
-            np.float64).reshape(shape)
+        arr = np.frombuffer(payload, dtype="<f8").astype(np.float64)
+        if not np.all(np.isfinite(arr)):
+            raise ParamsError(f"tensor {label} holds a non-finite value")
+        out[name] = arr.reshape(shape)
     if pos != len(raw):
         raise ParamsError(
             f"{len(raw) - pos} trailing bytes after {count} tensors")

@@ -271,7 +271,7 @@ class TestPgdConstraints:
 
     def test_parameters_untouched_by_attack(self):
         model = model_tinycnn(seed=5)
-        before = model.snapshot()
+        before = {name: p.data.copy() for name, p in model.params.items()}
         config = AttackConfig(mode="adaptive", epsilon=8 / 255, iterations=3,
                               seed=2)
         pgd_attack(model, interior_image(19), config)

@@ -365,6 +365,7 @@ class TestGradCheck:
         report = ad.grad_check(ad.sqnorm, rng.fill((2, 2, 1)))
         assert report.tolerance == 1e-4
         assert len(report.worst_coord) == 3
+        assert all(type(i) is int for i in report.worst_coord)
         assert report.scale > 0
         assert report.checked_count == 4
         assert report.nonsmooth_count == 0

@@ -31,6 +31,11 @@ def forbid_attack(monkeypatch):
     monkeypatch.setattr(bench, "pgd_attack", pgd_attack)
 
 
+def param_arrays(model):
+    """Copies of the model's parameter arrays, by name."""
+    return {name: p.data.copy() for name, p in model.params.items()}
+
+
 def degenerate_mask(kind, size=32):
     """A mask that leaves one region without pixels or window centers."""
     data = np.ones((size, size), dtype=np.uint8)
@@ -56,7 +61,7 @@ def overflowing_params(tmp_path_factory):
     """tinycnn parameters scaled so far that its output is NaN."""
     path = tmp_path_factory.mktemp("params") / "huge.sspm"
     save_params({name: arr * 1e306 for name, arr
-                 in model_tinycnn(seed=0).snapshot().items()}, path)
+                 in param_arrays(model_tinycnn(seed=0)).items()}, path)
     return path
 
 
@@ -495,7 +500,7 @@ class TestBench:
         from shadowstorm.synthdata import load_triplet_dir
 
         model = model_tinycnn(seed=0)
-        before = model.snapshot()
+        before = param_arrays(model)
         rows, failures = bench.run_sweep(
             model, load_triplet_dir(dataset_dir), [2 / 255, 4 / 255],
             ["uniform", "adaptive"], iterations=2, jobs=2)
@@ -605,7 +610,7 @@ class TestTrain:
                    "--lr", "0.05", "--seed", "4", "--out", str(out)])
         assert rc == 0
         loaded = load_params(out)
-        init = model_tinycnn(seed=4).snapshot()
+        init = param_arrays(model_tinycnn(seed=4))
         for name in init:
             assert np.array_equal(loaded[name], init[name])
 
@@ -658,7 +663,7 @@ class TestTrain:
 class TestModelLoading:
     def test_params_file_round_trip_through_cli(self, dataset_dir, tmp_path):
         params_path = tmp_path / "m.sspm"
-        save_params(model_tinycnn(seed=6).snapshot(), params_path)
+        save_params(param_arrays(model_tinycnn(seed=6)), params_path)
         prefix = str(tmp_path / "via_params")
         rc = main(["attack", "--mode", "uniform", "--eps", "2/255",
                    "--iters", "2", "--model", str(params_path),
@@ -668,10 +673,10 @@ class TestModelLoading:
         assert load_pnm(prefix + "_attacked.ppm").shape == (32, 32, 3)
 
     @pytest.mark.parametrize("kind", ["extra-tensor", "duplicate-name",
-                                      "trailing-bytes"])
+                                      "trailing-bytes", "nan-value"])
     def test_params_file_save_params_never_writes_io_error(
             self, dataset_dir, tmp_path, kind):
-        params = model_tinycnn(seed=6).snapshot()
+        params = param_arrays(model_tinycnn(seed=6))
         if kind == "extra-tensor":
             params["k4"] = np.zeros(1)
         save_params(params, tmp_path / "m.sspm")
@@ -680,12 +685,28 @@ class TestModelLoading:
             blob = blob[:8] + struct.pack("<I", 2 * len(params)) + blob[12:] * 2
         elif kind == "trailing-bytes":
             blob += b"\x00" * 8
+        elif kind == "nan-value":  # the last payload value
+            blob = blob[:-8] + struct.pack("<d", np.nan)
         (tmp_path / "m.sspm").write_bytes(blob)
         rc = main(["attack", "--mode", "uniform", "--eps", "2/255",
                    "--iters", "2", "--model", str(tmp_path / "m.sspm"),
                    "--image", str(dataset_dir / "shadow_0000.ppm"),
                    "--out-prefix", str(tmp_path / "x")])
         assert rc == 3
+        assert os.listdir(tmp_path) == ["m.sspm"]
+
+    @pytest.mark.parametrize("argv", [
+        ["bench", "--budgets", "4/255", "--modes", "uniform", "--iters", "2"],
+        ["gradcheck", "--inputs", "1"]], ids=["bench", "gradcheck"])
+    def test_params_file_non_finite_value_io_error(
+            self, dataset_dir, tmp_path, argv):
+        path = tmp_path / "m.sspm"
+        save_params(param_arrays(model_tinycnn(seed=6)), path)
+        path.write_bytes(path.read_bytes()[:-8] + struct.pack("<d", np.nan))
+        if argv[0] == "bench":
+            argv = argv + ["--dataset", str(dataset_dir),
+                           "--out", str(tmp_path / "r.csv")]
+        assert main(argv + ["--model", str(path)]) == 3
         assert os.listdir(tmp_path) == ["m.sspm"]
 
     def test_unknown_model_usage_error(self, dataset_dir, tmp_path):

@@ -9,15 +9,21 @@ from shadowstorm import autodiff as ad
 from shadowstorm.autodiff import Tensor
 from shadowstorm.imagecore import Image
 from shadowstorm.models import (DivergenceError, ParamsError, TapeModel,
-                                load_params, model_gainmap, model_identity,
-                                model_tinycnn, model_tinycnn_from_params,
-                                probe_gradients, save_params, train_toy)
+                                TinyCnnModel, load_params, model_gainmap,
+                                model_identity, model_tinycnn,
+                                model_tinycnn_from_params, probe_gradients,
+                                save_params, train_toy)
 from shadowstorm.rng import Xoshiro256StarStar
 from shadowstorm.synthdata import SynthConfig, gen_triplet
 
 
 def random_image(seed, shape=(16, 16, 3), lo=0.2, hi=0.8):
     return Image(Xoshiro256StarStar(seed).fill_uniform(shape, lo, hi))
+
+
+def param_arrays(model):
+    """Copies of the model's parameter arrays, by name."""
+    return {name: p.data.copy() for name, p in model.params.items()}
 
 
 def probe_grad_check(model, seed, shape=(16, 16, 3), tol=1e-4):
@@ -108,6 +114,15 @@ class TestTinyCnn:
         out = model_tinycnn(seed=3).forward(img)
         assert out.data.min() >= 0.0 and out.data.max() <= 1.0
 
+    def test_conv_kernels_have_several_channels_each_way(self):
+        # Cout = 1 (or Cin = 1 in the input VJP) sends conv2d down a BLAS
+        # matrix-vector kernel whose rounding follows the row's position,
+        # which the flat-block tap layout does not hold bit for bit
+        kernels = [shape for _, shape in TinyCnnModel.LAYOUT if len(shape) == 4]
+        assert len(kernels) == 3
+        for _kh, _kw, cin, cout in kernels:
+            assert cin > 1 and cout > 1
+
 
 class TestDirectionalDerivatives:
     """The vjp pullback against finite differences of directional probes."""
@@ -152,7 +167,7 @@ class TestVjp:
             """Keeps a weak reference to an intermediate tape tensor."""
             hidden = None
 
-            def forward_t(self, x):
+            def forward_t(self, x, params):
                 mid = ad.relu(ad.smul(x, 2.0))
                 Probe.hidden = weakref.ref(mid)
                 return ad.clamp01(ad.smul(mid, 0.5))
@@ -160,7 +175,7 @@ class TestVjp:
         img = random_image(41, shape=(8, 8, 3))
         gc.disable()
         try:
-            out = Probe().forward_t(Tensor(img.data, requires_grad=True))
+            out = Probe().forward_t(Tensor(img.data, requires_grad=True), {})
             assert Probe.hidden() is not None
             out.backward(np.ones(img.shape))
             assert Probe.hidden() is None
@@ -182,7 +197,24 @@ class TestVjp:
         model = model_tinycnn(seed=4)
         train_toy(model, make_dataset(count=1), epochs=2, lr=0.05)
         assert all(not p.requires_grad and p.grad is None
+                   and not p.data.flags.writeable
                    for p in model.params.values())
+
+
+class TestParameterState:
+    def test_parameter_arrays_read_only(self):
+        model = model_tinycnn(seed=4)
+        for p in model.params.values():
+            with pytest.raises(ValueError, match="read-only"):
+                p.data[(0,) * p.data.ndim] = 1.0
+
+    def test_load_state_copies_and_freezes(self):
+        model = model_tinycnn(seed=4)
+        source = param_arrays(model_tinycnn(seed=5))
+        model.load_state(source)
+        source["b1"][0] = 9.0
+        assert model.params["b1"].data[0] != 9.0
+        assert not model.params["b1"].data.flags.writeable
 
 
 class TestGainMapBorderWeight:
@@ -207,6 +239,18 @@ class TestGainMapBorderWeight:
         assert inverse.tobytes() == expected.tobytes()
 
 
+class ScaleModel(TapeModel):
+    """y = w * x: unclamped, so a large enough lr makes GD diverge."""
+    LAYOUT = (("w", (1,)),)
+
+    def __init__(self):
+        super().__init__()
+        self.load_state({"w": np.array([2.0])})
+
+    def forward_t(self, x, params):
+        return ad.mul(x, params["w"])
+
+
 def make_dataset(seed=7, count=32, size=32, blur=4):
     cfg = SynthConfig(seed=seed, count=count, height=size, width=size,
                       blur_radius=blur)
@@ -217,7 +261,7 @@ def make_dataset(seed=7, count=32, size=32, blur=4):
 class TestTrainToy:
     def test_zero_epochs_no_op(self):
         model = model_tinycnn(seed=0)
-        before = model.snapshot()
+        before = param_arrays(model)
         after = train_toy(model, make_dataset(count=2), epochs=0, lr=0.05)
         for name in before:
             assert np.array_equal(before[name], after[name])
@@ -243,18 +287,17 @@ class TestTrainToy:
         # the final clamp keeps tinycnn's loss bounded at any lr, so the
         # divergence path is exercised with an unclamped scale model whose
         # GD provably blows up once lr exceeds the stable step
-        from shadowstorm.models import TapeModel
-
-        class ScaleModel(TapeModel):
-            def __init__(self):
-                super().__init__()
-                self.params = {"w": Tensor(np.array([2.0]), requires_grad=True)}
-
-            def forward_t(self, x):
-                return ad.mul(x, self.params["w"])
-
         with pytest.raises(DivergenceError, match="smaller lr"):
             train_toy(ScaleModel(), make_dataset(count=2), epochs=80, lr=1e10)
+
+    @pytest.mark.filterwarnings("ignore:overflow")
+    def test_divergence_leaves_no_gradient_state(self):
+        model = ScaleModel()
+        with pytest.raises(DivergenceError):
+            train_toy(model, make_dataset(count=2), epochs=80, lr=1e10)
+        (w,) = model.params.values()
+        assert w.data[0] != 2.0  # the epochs before the blow-up stepped
+        assert not w.requires_grad and w.grad is None
 
     def test_empty_dataset_rejected(self):
         with pytest.raises(ValueError, match="non-empty"):
@@ -269,7 +312,7 @@ class TestTrainToy:
 
 class TestParamsIO:
     def test_round_trip_bit_identical(self, tmp_path):
-        params = model_tinycnn(seed=5).snapshot()
+        params = param_arrays(model_tinycnn(seed=5))
         path = tmp_path / "m.sspm"
         save_params(params, path)
         loaded = load_params(path)
@@ -279,7 +322,7 @@ class TestParamsIO:
             assert loaded[name].dtype == np.float64
 
     def test_truncated_names_tensor(self, tmp_path):
-        params = model_tinycnn(seed=5).snapshot()
+        params = param_arrays(model_tinycnn(seed=5))
         path = tmp_path / "m.sspm"
         save_params(params, path)
         blob = open(path, "rb").read()
@@ -306,32 +349,35 @@ class TestParamsIO:
     def test_model_from_params(self, tmp_path):
         model = model_tinycnn(seed=8)
         path = tmp_path / "m.sspm"
-        save_params(model.snapshot(), path)
+        save_params(param_arrays(model), path)
         clone = model_tinycnn_from_params(load_params(path))
         img = random_image(30)
         assert np.array_equal(model.forward(img).data, clone.forward(img).data)
 
     @pytest.mark.parametrize("tail,match", [
-        ("duplicate", "duplicate tensor 'b1'"), ("trailing", "trailing bytes")])
+        ("duplicate", "duplicate tensor 'b1'"), ("trailing", "trailing bytes"),
+        ("nan", "'b1' holds a non-finite"), ("-inf", "'b1' holds a non-finite")])
     def test_rejects_what_save_params_never_writes(self, tmp_path, tail, match):
         path = tmp_path / "m.sspm"
         save_params({"b1": np.zeros(2)}, path)
         blob = path.read_bytes()
         if tail == "duplicate":  # the same record twice, count raised to 2
             blob = blob[:8] + struct.pack("<I", 2) + blob[12:] + blob[12:]
-        else:
+        elif tail == "trailing":
             blob += b"\x00" * 8
+        else:  # the last payload value
+            blob = blob[:-8] + struct.pack("<d", float(tail))
         path.write_bytes(blob)
         with pytest.raises(ParamsError, match=match):
             load_params(path)
 
     def test_unknown_tensor_rejected(self):
-        params = {**model_tinycnn(seed=1).snapshot(), "k4": np.zeros(1)}
+        params = {**param_arrays(model_tinycnn(seed=1)), "k4": np.zeros(1)}
         with pytest.raises(ParamsError, match="unknown.*'k4'"):
             model_tinycnn_from_params(params)
 
     def test_wrong_shape_rejected(self):
-        params = model_tinycnn(seed=1).snapshot()
+        params = param_arrays(model_tinycnn(seed=1))
         params["k1"] = params["k1"][:, :, :, :4]
         with pytest.raises(ParamsError, match="k1"):
             model_tinycnn_from_params(params)
