@@ -307,6 +307,10 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Tensor | None = None) -> Tensor:
     whatever the length of its block; OpenBLAS does for the zoo's layers,
     but a single output column (Cout = 1, or Cin = 1 in the input VJP)
     takes a matrix-vector kernel whose rounding follows the row's position.
+    The input VJP takes a C-contiguous copy of the transposed kernel, which
+    OpenBLAS's SkylakeX core runs on its small-matrix kernel, with the bits
+    of the transposed view except on 1 x 1 inputs (a matrix-vector product;
+    no CLI command runs one, SSIM needs 11 x 11).
     The kernel and bias VJPs reduce over the H * W window positions only."""
     xd, kd = x.data, kernel.data
     if xd.ndim != 3 or kd.ndim != 4 or xd.shape[2] != kd.shape[2]:
@@ -324,15 +328,17 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Tensor | None = None) -> Tensor:
         acc[:rows] += flat[start:start + rows] @ kd[i, j]
     data = acc.reshape(h, wp, cout)[:, :w]
     if bias is not None:
-        data = data + bias.data
+        acc.reshape(h, wp * cout)[...] += np.tile(bias.data, wp)
+        data = np.ascontiguousarray(data)
 
     def back(g):
         if x.requires_grad:
             gwide = _widen(g, wp, rows)
             gflat = np.zeros_like(flat)
+            kt = np.ascontiguousarray(kd.transpose(0, 1, 3, 2))
             for i, j in product(range(kh), range(kw)):
                 start = i * wp + j
-                gflat[start:start + rows] += gwide @ kd[i, j].T
+                gflat[start:start + rows] += gwide @ kt[i, j]
             x._accumulate(gflat.reshape(-1, wp, cin)[kh // 2:kh // 2 + h,
                                                      kw // 2:kw // 2 + w])
         if kernel.requires_grad:

@@ -163,7 +163,8 @@ class GainMapModel(TapeModel):
 class TinyCnnModel(TapeModel):
     """Three-layer residual CNN (3->8->8->3, 3x3 kernels, relu, final clamp).
 
-    Weights start from seeded uniform(-0.1, 0.1); train with
+    :func:`model_tinycnn` draws seeded uniform(-0.1, 0.1) weights (`seed`
+    only names them; a params file's model is named seed 0); train with
     :func:`train_toy` to get a model that actually removes shadows.
     """
 
@@ -173,13 +174,10 @@ class TinyCnnModel(TapeModel):
         ("k3", (3, 3, 8, 3)), ("b3", (3,)),
     )
 
-    def __init__(self, seed: int = 0):
+    def __init__(self, params: Mapping[str, np.ndarray], seed: int = 0):
         super().__init__()
-        self.seed = seed
         self.name = f"tinycnn(seed={seed})"
-        rng = Xoshiro256StarStar(seed)
-        self.load_state({pname: rng.fill_uniform(shape, -0.1, 0.1)
-                         for pname, shape in self.LAYOUT})
+        self.load_state(params)
 
     def forward_t(self, x: Tensor, params: Mapping[str, Tensor]) -> Tensor:
         h1 = ad.relu(ad.conv2d(x, params["k1"], params["b1"]))
@@ -197,13 +195,13 @@ def model_gainmap(blur_radius: int = 4, max_gain: float = 4.0) -> GainMapModel:
 
 
 def model_tinycnn(seed: int = 0) -> TinyCnnModel:
-    return TinyCnnModel(seed)
+    rng = Xoshiro256StarStar(seed)
+    return TinyCnnModel({pname: rng.fill_uniform(shape, -0.1, 0.1)
+                         for pname, shape in TinyCnnModel.LAYOUT}, seed)
 
 
 def model_tinycnn_from_params(params: Mapping[str, np.ndarray]) -> TinyCnnModel:
-    model = TinyCnnModel(seed=0)
-    model.load_state(params)
-    return model
+    return TinyCnnModel(params)
 
 
 def probe_gradients(model: TapeModel, seed: int, inputs: int,

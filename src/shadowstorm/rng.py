@@ -26,13 +26,17 @@ linear over GF(2): the state k steps after s is the xor of the states k
 steps after each of s's set bits taken alone. With k = isqrt(n), a
 (256, 4) jump map (row 64*w + b: bit b of word w stepped k times) carries
 the state from one lane start to the next, giving ceil(n/k) lanes spaced k
-steps apart along the one stream. All lanes then step together k times
-through the same output and transition as ``next_u64``; read lane by lane
-and cut to n, they are the next n outputs of the stream in order, and the
-generator is left at the state n steps on, as if it had drawn them one by
-one. Jumping is the scheme of the generators' authors (Blackman and Vigna,
-"Scrambled linear pseudorandom number generators", 2018), here with a jump
-length chosen per fill.
+steps apart along the one stream. Each fill folds the map into a byte
+table (entry [v, p]: the xor of the rows for the set bits of value v at
+byte p of the little-endian state), so a jump is 32 lookups and one
+xor-reduce. All lanes then step together k times, in place on four uint64
+rows, through the same output and transition as ``next_u64``; read lane by
+lane and cut to n, they are the next n outputs of the stream in order, and
+the generator is left at the state n steps on, as if it had drawn them one
+by one. Jumping is the scheme of the generators' authors (Blackman and
+Vigna, "Scrambled linear pseudorandom number generators", 2018), here with
+a jump length chosen per fill. The 256 KB table is built per fill, not
+cached, so no table outlives its fill.
 """
 
 from __future__ import annotations
@@ -72,9 +76,8 @@ def derive_seed(seed: int, index: int) -> int:
 
 
 def _step(s):
-    """Advance the four state words `s` one xoshiro256** step in place and
-    return the output. The words are Python ints, or uint64 arrays whose
-    elements are independent states stepped together."""
+    """Advance the four Python-int state words `s` one xoshiro256** step in
+    place and return the output."""
     result = (_rotl((s[1] * 5) & _MASK64, 7) * 9) & _MASK64
     t = (s[1] << 17) & _MASK64
     s[2] ^= s[0]
@@ -86,6 +89,19 @@ def _step(s):
     return result
 
 
+def _step_lanes(s: np.ndarray, out: np.ndarray) -> None:
+    """:func:`_step` on the (4, lanes) uint64 rows `s` in place, output to
+    `out`; uint64 arithmetic wraps, so nothing is masked."""
+    np.multiply(s[1], 5, out=out)
+    out[:] = (out << 7) | (out >> 57)
+    out *= 9
+    t = s[1] << 17
+    s[2:] ^= s[:2]  # s2 ^= s0, s3 ^= s1
+    s[:2] ^= s[3:1:-1]  # s0 ^= s3, s1 ^= s2
+    s[2] ^= t
+    s[3] = (s[3] << 45) | (s[3] >> 19)
+
+
 @functools.lru_cache(maxsize=16)
 def _jump_map(k: int) -> np.ndarray:
     """(256, 4) uint64: row 64*w + b is the state k steps after the state
@@ -93,14 +109,23 @@ def _jump_map(k: int) -> np.ndarray:
     bit = np.arange(256)
     words = np.zeros((4, 256), dtype=np.uint64)
     words[bit // 64, bit] = np.uint64(1) << (bit % 64).astype(np.uint64)
+    out = np.empty(256, dtype=np.uint64)
     for _ in range(k):
-        _step(words)
+        _step_lanes(words, out)
     jump = np.ascontiguousarray(words.T)
     jump.flags.writeable = False
     return jump
 
 
-_BIT_SHIFTS = np.arange(64, dtype=np.uint64)
+def _byte_table(jump: np.ndarray) -> np.ndarray:
+    """(256, 32, 4) uint64 from a jump map: entry [v, p] is the xor of its
+    rows 8*p + b over the set bits b of v, the jump of byte p's share."""
+    rows = np.ascontiguousarray(jump.reshape(32, 8, 4).transpose(1, 0, 2))
+    table = np.empty((256, 32, 4), dtype=np.uint64)
+    table[0] = 0
+    for b in range(8):
+        np.bitwise_xor(table[:1 << b], rows[b], out=table[1 << b:2 << b])
+    return table
 
 
 class Xoshiro256StarStar:
@@ -140,18 +165,18 @@ class Xoshiro256StarStar:
             return np.empty(shape, dtype=np.float64)
         k = math.isqrt(n)
         lanes = -(-n // k)
-        jump = _jump_map(k)
-        starts = np.empty((lanes, 4), dtype=np.uint64)
+        table = _byte_table(_jump_map(k))
+        starts = np.empty((lanes, 4), dtype="<u8")
         starts[0] = self._s
+        byte_pos = np.arange(32)
         for lane in range(1, lanes):
-            bits = (starts[lane - 1, :, None] >> _BIT_SHIFTS) & 1
-            starts[lane] = np.bitwise_xor.reduce(
-                jump[bits.astype(bool).ravel()], axis=0)
-        words = np.ascontiguousarray(starts.T)
+            np.bitwise_xor.reduce(table[starts[lane - 1].view(np.uint8),
+                                        byte_pos], axis=0, out=starts[lane])
+        words = np.ascontiguousarray(starts.T, dtype=np.uint64)
         draws = np.empty((k, lanes), dtype=np.uint64)
         last_steps = n - (lanes - 1) * k
         for step in range(k):
-            draws[step] = _step(words)
+            _step_lanes(words, draws[step])
             if step + 1 == last_steps:
                 self._s = [int(w) for w in words[:, -1]]
         u = draws.T.ravel()[:n]

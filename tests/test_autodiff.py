@@ -138,7 +138,10 @@ class TestConv2dBytes:
         (9, 7, 3, 8, 3, 3, True), (5, 12, 8, 3, 5, 3, False),
         (6, 4, 1, 2, 1, 1, True), (7, 9, 1, 8, 3, 3, True),
         (1, 1, 3, 8, 3, 3, True),
-        (64, 64, 8, 8, 3, 3, True)])
+        (64, 64, 8, 8, 3, 3, True),
+        # the zoo's tinycnn layers on a 64x64 image, and an odd size
+        (64, 64, 3, 8, 3, 3, True), (64, 64, 8, 3, 3, 3, True),
+        (13, 17, 8, 8, 3, 3, False)])
     def test_matches_per_tap_loop(self, h, w, cin, cout, kh, kw, with_bias):
         rng = Xoshiro256StarStar(22)
         x = rng.fill_uniform((h, w, cin), -1.0, 1.0)

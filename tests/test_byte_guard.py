@@ -3,10 +3,11 @@
 The bench and train digests were recorded from the code before the
 single-pass `vjp` protocol, the gen digests from the code before the
 generator's soft-mask blur moved onto `autodiff.blur2d`, the attack
-digests from the code before the channel-sum and shared-metric passes; a
-change that moves them changes what the CLI writes and must say so. The
-bench CSV is hashed without its `# dataset` line, which holds a temporary
-path.
+digests from the code before the channel-sum and shared-metric passes, the
+digest of a bench of a params file from the code that drew seed-0 weights
+before loading the file's; a change that moves them changes what the CLI
+writes and must say so. The bench CSV is hashed without its `# dataset`
+line, which holds a temporary path.
 """
 
 import hashlib
@@ -52,6 +53,8 @@ BENCH_DIGESTS = {
         "f190091a6d9282dda98cf98db25e57164be09f7899d5dce58282cdd9a3474a3d",
         "e8cfd5f1adc87b96c396d8e67b78a7bebd9b6a818f4dce26d7dc0f4f38064687"),
 }
+PARAMS_BENCH_DIGEST = (
+    "1deb00eb835ed7fd429d0a683292d046c35d8611cfc8484b6594759b40f23c82")
 TRAIN_PARAMS_DIGEST = (
     "df957daeabaf788836fe01ab0b0fccaeed3c5fe01c926f9da5a503042b9e03a2")
 TRAIN_LOSSLOG_DIGEST = (
@@ -109,6 +112,21 @@ def test_train_bytes(small_dataset, tmp_path):
         == TRAIN_LOSSLOG_DIGEST
 
 
+def test_bench_params_file_bytes(small_dataset, tmp_path):
+    """A bench of a trained `.sspm`: the file's model keeps the name
+    `tinycnn(seed=0)` in the CSV's `# model` line."""
+    params = tmp_path / "p.sspm"
+    assert main(["train", "--dataset", str(small_dataset), "--epochs", "3",
+                 "--lr", "0.2", "--out", str(params)]) == 0
+    out = tmp_path / "p.csv"
+    assert main(["bench", "--dataset", str(small_dataset), "--model",
+                 str(params), "--iters", "5", "--out", str(out)]) == 0
+    lines = [line for line in out.read_bytes().split(b"\n")
+             if not line.startswith(b"# dataset")]
+    assert b"# model tinycnn(seed=0)" in lines
+    assert sha256(b"\n".join(lines)) == PARAMS_BENCH_DIGEST
+
+
 @pytest.mark.parametrize("threads", ["1", "2"])
 def test_digests_hold_under_blas_threads(threads):
     """The digests above, recomputed in a fresh process with OpenBLAS
@@ -121,4 +139,4 @@ def test_digests_hold_under_blas_threads(threads):
         cwd=os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
         env=env, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stdout + proc.stderr
-    assert "5 passed" in proc.stdout
+    assert "6 passed" in proc.stdout

@@ -371,6 +371,17 @@ class TestParamsIO:
         with pytest.raises(ParamsError, match=match):
             load_params(path)
 
+    def test_model_from_params_draws_nothing(self, monkeypatch):
+        params = param_arrays(model_tinycnn(seed=0))
+
+        def no_draw(self, shape):
+            raise AssertionError("drew from the generator")
+        monkeypatch.setattr(Xoshiro256StarStar, "fill", no_draw)
+        clone = model_tinycnn_from_params(params)
+        assert clone.name == "tinycnn(seed=0)"
+        assert all(np.array_equal(clone.params[name].data, arr)
+                   for name, arr in params.items())
+
     def test_unknown_tensor_rejected(self):
         params = {**param_arrays(model_tinycnn(seed=1)), "k4": np.zeros(1)}
         with pytest.raises(ParamsError, match="unknown.*'k4'"):

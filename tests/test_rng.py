@@ -1,6 +1,8 @@
 import numpy as np
 
-from shadowstorm.rng import Xoshiro256StarStar, _splitmix64, derive_seed
+from shadowstorm.models import TinyCnnModel
+from shadowstorm.rng import (Xoshiro256StarStar, _byte_table, _jump_map,
+                             _splitmix64, derive_seed)
 
 
 def test_splitmix64_known_sequence():
@@ -77,6 +79,38 @@ def test_consecutive_fills_continue_one_stream():
     scalars = np.array([b.random() for _ in range(filled.size)])
     assert filled.tobytes() == scalars.tobytes()
     assert a.next_u64() == b.next_u64()
+
+
+def test_fills_the_workloads_draw():
+    # a 64x64x3 random start, tinycnn's init in LAYOUT order, and sizes at
+    # a lane boundary: 12,100 fills 110 lanes of 110 steps, 12,099 takes
+    # k = 109, and 12,101 ends in a lane of one value
+    shapes = ([(64, 64, 3)], [shape for _, shape in TinyCnnModel.LAYOUT],
+              [(12_099,)], [(12_100,)], [(12_101,)])
+    for seed in (3, 2**63 + 1):
+        for group in shapes:
+            a = Xoshiro256StarStar(seed)
+            b = Xoshiro256StarStar(seed)
+            filled = np.concatenate([a.fill(shape).ravel() for shape in group])
+            scalars = np.array([b.random() for _ in range(filled.size)])
+            assert filled.tobytes() == scalars.tobytes(), (seed, group)
+            assert a.next_u64() == b.next_u64(), (seed, group)
+
+
+def test_byte_table_jump_matches_bitwise_jump():
+    gen = Xoshiro256StarStar(17)
+    for k in (1, 2, 14, 110):
+        jump = _jump_map(k)
+        table = _byte_table(jump)
+        for _ in range(20):
+            words = [gen.next_u64() for _ in range(4)]
+            state = np.array(words, dtype="<u8")
+            bits = [(words[w] >> b) & 1 for w in range(4) for b in range(64)]
+            bitwise = np.bitwise_xor.reduce(jump[np.array(bits, dtype=bool)],
+                                            axis=0)
+            by_byte = np.bitwise_xor.reduce(
+                table[state.view(np.uint8), np.arange(32)], axis=0)
+            assert by_byte.tolist() == bitwise.tolist(), k
 
 
 def test_randint_inclusive_range():
