@@ -11,6 +11,9 @@ by coordinate-wise projection onto a per-pixel feasible box:
 The two budgets are comparable through the mean-intensity mapping
 eps_uniform = eps_adaptive * mean(I), which equalizes the maximum
 achievable mean absolute perturbation of the two feasible sets.
+
+The loop runs on arrays, through the model's array-level ``vjp``; ``Image``s
+are built only outside it. The perturbation is a read-only array.
 """
 
 from __future__ import annotations
@@ -21,8 +24,7 @@ from typing import Callable
 
 import numpy as np
 
-from .imagecore import (Image, Perturbation, effective_intensity,
-                        mean_intensity)
+from .imagecore import Image, effective_intensity, mean_intensity
 from .models import DiffModel
 from .rng import Xoshiro256StarStar
 
@@ -82,7 +84,7 @@ class AttackResult:
     iteration, and the model outputs on the clean image (the anchor) and on
     the attacked image, so callers need no further forward pass."""
 
-    perturbation: Perturbation
+    perturbation: np.ndarray
     attacked_image: Image
     objective_trace: list[float]
     config: AttackConfig
@@ -106,24 +108,27 @@ def budget_box(image: Image, config: AttackConfig) -> BudgetBox:
     return BudgetBox(lower=lower, upper=upper)
 
 
-def init_delta(box: BudgetBox, seed: int) -> Perturbation:
-    """Seeded uniform draw from the box, coordinate by coordinate.
+def init_delta(box: BudgetBox, seed: int) -> np.ndarray:
+    """Seeded read-only uniform draw from the box, coordinate by coordinate.
 
     Uses the package's portable PRNG so the same seed gives the same start
     on every platform. Saturated coordinates (zero-width box) start at 0.
     """
     rng = Xoshiro256StarStar(seed)
     u = rng.fill(box.lower.shape)
-    return Perturbation(box.lower + u * (box.upper - box.lower))
+    delta = box.lower + u * (box.upper - box.lower)
+    delta.flags.writeable = False
+    return delta
 
 
-def attack_objective(anchor: Image, attacked_output: Image) -> tuple[float, np.ndarray]:
+def attack_objective(anchor: np.ndarray, attacked_output: np.ndarray
+                     ) -> tuple[float, np.ndarray]:
     """l2 output-distortion objective and its gradient w.r.t. the output.
 
     Returns (objective, cotangent) where cotangent is d objective /
     d attacked_output; at zero distortion the chosen subgradient is 0.
     """
-    residual = attacked_output.data - anchor.data
+    residual = attacked_output - anchor
     value = float(np.sqrt(np.sum(residual * residual)))
     if value > 0.0:
         cotangent = residual / value
@@ -157,16 +162,15 @@ def pgd_attack(model: DiffModel, image: Image, config: AttackConfig,
     if box.is_degenerate:
         log.warning("budget box is degenerate (no coordinate can move); "
                     "the attack will return delta = 0")
-    delta = init_delta(box, config.seed).data  # frozen; only ever rebound
+    delta = init_delta(box, config.seed)  # read-only; only ever rebound
     if anchor is None:
         anchor = model.forward(image)
     step = _step_size(image, config)
 
     trace: list[float] = []
     for t in range(config.iterations):
-        attacked = Image(np.clip(image.data + delta, 0.0, 1.0))
-        out, pullback = model.vjp(attacked)
-        value, cotangent = attack_objective(anchor, out)
+        out, pullback = model.vjp(np.clip(image.data + delta, 0.0, 1.0))
+        value, cotangent = attack_objective(anchor.data, out)
         if not np.isfinite(value):
             raise NonFiniteGradientError(
                 f"non-finite objective at iteration {t} of {config.mode} "
@@ -181,9 +185,10 @@ def pgd_attack(model: DiffModel, image: Image, config: AttackConfig,
         if on_iteration is not None:
             on_iteration(t, delta)
 
+    delta.flags.writeable = False
     attacked = Image(np.clip(image.data + delta, 0.0, 1.0))
     return AttackResult(
-        perturbation=Perturbation(delta),
+        perturbation=delta,
         attacked_image=attacked,
         objective_trace=trace,
         config=config,
@@ -223,13 +228,13 @@ class L1BoundReport:
         return self.ok
 
 
-def verify_l1_bound(delta: Perturbation, image: Image, epsilon_a: float,
+def verify_l1_bound(delta: np.ndarray, image: Image, epsilon_a: float,
                     tol: float = 1e-9) -> L1BoundReport:
     """Check an adaptive perturbation against its theoretical l1 budget."""
     if delta.shape != image.shape:
         raise ValueError(
             f"delta shape {delta.shape} does not match image shape {image.shape}")
-    abs_delta = np.abs(delta.data)
+    abs_delta = np.abs(delta)
     ieff = effective_intensity(image)
     mean_abs = float(np.mean(abs_delta))
     bound = epsilon_a * float(np.mean(ieff))

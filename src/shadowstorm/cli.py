@@ -113,6 +113,13 @@ def _check_mask(mask: ShadowMask, what: str) -> None:
         raise UsageError(f"{what}: {exc}") from None
 
 
+def _check_distinct(out: str, other: str, what: str) -> None:
+    """Usage error when `other` is the same file as --out `out`: the
+    command's later write would replace the earlier one."""
+    if os.path.realpath(out) == os.path.realpath(other):
+        raise UsageError(f"--out {out} and {what} {other} are the same file")
+
+
 def _write_stretched(arr: np.ndarray, path) -> float:
     """Save |arr| linearly stretched to full range; returns the stretch factor."""
     peak = float(np.abs(arr).max())
@@ -158,7 +165,7 @@ def cmd_attack(args) -> int:
     prefix = args.out_prefix
     ext = "pgm" if image.channels == 1 else "ppm"
     save_pnm(result.attacked_image, f"{prefix}_attacked.{ext}")
-    delta_stretch = _write_stretched(result.perturbation.data,
+    delta_stretch = _write_stretched(result.perturbation,
                                      f"{prefix}_delta_viz.{ext}")
     norm_map = metrics.normalized_perturbation_map(result.perturbation, image)
     norm_stretch = _write_stretched(norm_map, f"{prefix}_normmap.{ext}")
@@ -174,6 +181,8 @@ def cmd_attack(args) -> int:
 def cmd_bench(args) -> int:
     _check_flags(counts=(("--iters", args.iters), ("--jobs", args.jobs)),
                  reals=(("--step-div", args.step_div),))
+    plot_path = args.plot_out or os.path.splitext(args.out)[0] + ".plot"
+    _check_distinct(args.out, plot_path, "plot data")
     triplets = load_triplet_dir(args.dataset)
     if not triplets:
         raise UsageError(f"no triplets in {args.dataset}")
@@ -201,7 +210,6 @@ def cmd_bench(args) -> int:
     comments = (f"# model {model.name}", f"# dataset {args.dataset}",
                 f"# equalize {int(args.equalize)}")
     bench.write_csv(args.out, rows, failures, extra_comments=comments)
-    plot_path = args.plot_out or os.path.splitext(args.out)[0] + ".plot"
     bench.write_plot_data(plot_path, rows)
     print(f"wrote {len(rows)} rows to {args.out}, plot data to {plot_path}"
           + (f", {len(failures)} failures" if failures else ""))
@@ -242,6 +250,8 @@ def cmd_gradcheck(args) -> int:
 def cmd_train(args) -> int:
     _check_flags(counts=(("--epochs", args.epochs),), reals=(("--lr", args.lr),),
                  least=0)
+    log_path = args.loss_log or args.out + ".losslog.csv"
+    _check_distinct(args.out, log_path, "loss log")
     triplets = load_triplet_dir(args.dataset)
     if not triplets:
         raise UsageError(f"no triplets in {args.dataset}")
@@ -251,7 +261,6 @@ def cmd_train(args) -> int:
     params = train_toy(model, dataset, epochs=args.epochs, lr=args.lr,
                        on_epoch=lambda _e, loss: losses.append(loss))
     save_params(params, args.out)
-    log_path = args.loss_log or args.out + ".losslog.csv"
     lines = ["epoch,loss"] + [f"{epoch},{bench.fmt_value(loss)}"
                               for epoch, loss in enumerate(losses)]
     write_atomic(log_path, ("\n".join(lines) + "\n").encode("utf-8"))

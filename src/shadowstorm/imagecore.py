@@ -1,4 +1,4 @@
-"""Image, shadow-mask and perturbation containers plus binary PNM file I/O.
+"""Image and shadow-mask containers plus binary PNM file I/O.
 
 Images hold unit-interval float64 intensities in (row, column, channel)
 layout. Files are 8-bit binary PGM (P5, single channel) or PPM (P6, three
@@ -99,25 +99,6 @@ class ShadowMask:
 
     def matches(self, image: Image) -> bool:
         return (self.height, self.width) == (image.height, image.width)
-
-
-@dataclass(frozen=True)
-class Perturbation:
-    """Signed offset with the same shape as the image it attacks."""
-
-    data: np.ndarray
-
-    def __post_init__(self):
-        data = np.asarray(self.data, dtype=np.float64)
-        if data.ndim != 3:
-            raise ValueError(f"perturbation data must be HxWxC, got ndim={data.ndim}")
-        if not np.all(np.isfinite(data)):
-            raise ValueError("perturbation values must be finite")
-        object.__setattr__(self, "data", _freeze(data))
-
-    @property
-    def shape(self) -> tuple[int, int, int]:
-        return self.data.shape
 
 
 def quantize(values: np.ndarray) -> np.ndarray:

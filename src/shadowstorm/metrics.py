@@ -24,7 +24,7 @@ from typing import Sequence
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .imagecore import Image, Perturbation, ShadowMask, effective_intensity
+from .imagecore import Image, ShadowMask, effective_intensity
 
 SSIM_WINDOW = 11
 SSIM_SIGMA = 1.5
@@ -168,7 +168,7 @@ class PerturbationNorms:
     linf_normalized: float
 
 
-def perturbation_norms(delta: Perturbation, image: Image) -> PerturbationNorms:
+def perturbation_norms(delta: np.ndarray, image: Image) -> PerturbationNorms:
     """Mean-l1, max and intensity-normalized max magnitude of a perturbation.
 
     linf_normalized is the max over pixels of |delta_i| / max(I_i, 1/255),
@@ -177,7 +177,7 @@ def perturbation_norms(delta: Perturbation, image: Image) -> PerturbationNorms:
     if delta.shape != image.shape:
         raise ValueError(
             f"delta shape {delta.shape} does not match image shape {image.shape}")
-    abs_delta = np.abs(delta.data)
+    abs_delta = np.abs(delta)
     normalized = abs_delta / effective_intensity(image)
     return PerturbationNorms(
         l1_mean=float(np.mean(abs_delta)),
@@ -186,10 +186,10 @@ def perturbation_norms(delta: Perturbation, image: Image) -> PerturbationNorms:
     )
 
 
-def normalized_perturbation_map(delta: Perturbation, image: Image) -> np.ndarray:
+def normalized_perturbation_map(delta: np.ndarray, image: Image) -> np.ndarray:
     """Element-wise |delta| / max(I, 1/255). Deliberately not clamped: values
     above 1 on dark pixels are exactly what uniform attacks produce."""
     if delta.shape != image.shape:
         raise ValueError(
             f"delta shape {delta.shape} does not match image shape {image.shape}")
-    return np.abs(delta.data) / effective_intensity(image)
+    return np.abs(delta) / effective_intensity(image)

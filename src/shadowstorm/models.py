@@ -3,10 +3,10 @@
 Every model exposes exactly two capabilities consumed by the attacks:
 
   * ``forward(image) -> Image``: deterministic, output clamped to [0, 1];
-  * ``vjp(image) -> (Image, pullback)``: the same clamped output from one
-    forward pass, plus ``pullback(cotangent) -> ndarray``, the
-    vector-Jacobian product of the forward map with an upstream cotangent
-    array. A pullback runs once.
+  * ``vjp(x) -> (ndarray, pullback)``: on an H x W x C array, the same
+    clamped output as an array from one forward pass, plus
+    ``pullback(cotangent) -> ndarray``, the vector-Jacobian product of the
+    forward map with an upstream cotangent array. A pullback runs once.
 
 Anything implementing that pair can be attacked; the bundled zoo holds an
 identity map (analytic test target), an illumination gain-map corrector,
@@ -49,8 +49,8 @@ class DiffModel(Protocol):
 
     def forward(self, image: Image) -> Image: ...
 
-    def vjp(self, image: Image
-            ) -> tuple[Image, Callable[[np.ndarray], np.ndarray]]: ...
+    def vjp(self, x: np.ndarray
+            ) -> tuple[np.ndarray, Callable[[np.ndarray], np.ndarray]]: ...
 
 
 class TapeModel:
@@ -68,11 +68,12 @@ class TapeModel:
         raise NotImplementedError
 
     def forward(self, image: Image) -> Image:
-        return self._output(self.forward_t(Tensor(image.data), self.params))
+        out = self.forward_t(Tensor(image.data), self.params)
+        return Image(self._output(out))
 
-    def vjp(self, image: Image
-            ) -> tuple[Image, Callable[[np.ndarray], np.ndarray]]:
-        leaf = Tensor(image.data, requires_grad=True)
+    def vjp(self, x: np.ndarray
+            ) -> tuple[np.ndarray, Callable[[np.ndarray], np.ndarray]]:
+        leaf = Tensor(x, requires_grad=True)
         out = self.forward_t(leaf, self.params)
 
         def pullback(cotangent: np.ndarray) -> np.ndarray:
@@ -82,16 +83,16 @@ class TapeModel:
             return leaf.grad
         return self._output(out), pullback
 
-    def _output(self, out: Tensor) -> Image:
+    def _output(self, out: Tensor) -> np.ndarray:
         """The clamped output; NaN in it is a numeric failure, not bad input."""
         data = np.clip(out.data, 0.0, 1.0)
         if not np.all(np.isfinite(data)):
             raise FloatingPointError(f"{self.name} output is not finite")
-        return Image(data)
+        return data
 
     # Kept only as a delegate to vjp: the benchmark tracer binds this name.
     def input_grad(self, image: Image, cotangent: np.ndarray) -> np.ndarray:
-        return self.vjp(image)[1](cotangent)
+        return self.vjp(image.data)[1](cotangent)
 
     def load_state(self, params: Mapping[str, np.ndarray]) -> None:
         """Replace the parameters with constant tensors over read-only

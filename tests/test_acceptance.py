@@ -18,7 +18,7 @@ from shadowstorm.attack import (AttackConfig, budget_box,
                                 equivalent_uniform_budget, init_delta,
                                 pgd_attack, verify_l1_bound)
 from shadowstorm.cli import main
-from shadowstorm.imagecore import Image, Perturbation
+from shadowstorm.imagecore import Image
 from shadowstorm.rng import Xoshiro256StarStar, derive_seed
 
 BUDGET_SWEEP = tuple(n / 255.0 for n in (1, 2, 4, 8, 16))
@@ -149,7 +149,7 @@ def test_criterion_02_mean_l1_budget_bound():
     img = Image(Xoshiro256StarStar(88).fill_uniform((16, 16, 3), 0.1, 0.7))
     eps_a = 16 / 255
     ieff = np.maximum(img.data, 1 / 255)
-    saturated = verify_l1_bound(Perturbation(eps_a * ieff), img, eps_a)
+    saturated = verify_l1_bound(eps_a * ieff, img, eps_a)
     assert saturated.ok
     assert abs(saturated.mean_abs - saturated.bound) <= 1e-9
     report(2, f"{len(results)} adaptive results bounded; face-saturating "
@@ -212,9 +212,9 @@ def test_criterion_05_identity_fixed_point():
                               seed=seed)
         result = pgd_attack(models.model_identity(), img, config)
         delta0 = init_delta(budget_box(img, config), seed=seed)
-        moving = delta0.data != 0.0
+        moving = delta0 != 0.0
         assert moving.all()  # continuous draws never start at exactly 0
-        assert np.all(np.abs(result.perturbation.data[moving]) == eps)
+        assert np.all(np.abs(result.perturbation[moving]) == eps)
     report(5, "final |delta_i| == eps exactly on all interior coordinates, "
               "3 seeds")
 

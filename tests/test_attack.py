@@ -1,5 +1,4 @@
 import math
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -8,7 +7,7 @@ from shadowstorm.attack import (AttackConfig, BudgetBox, NonFiniteGradientError,
                                 _step_size, budget_box,
                                 equivalent_uniform_budget, init_delta,
                                 pgd_attack, verify_l1_bound)
-from shadowstorm.imagecore import INTENSITY_FLOOR, Image, Perturbation
+from shadowstorm.imagecore import INTENSITY_FLOOR, Image
 from shadowstorm.metrics import (normalized_perturbation_map,
                                  perturbation_norms, psnr)
 from shadowstorm.models import model_gainmap, model_identity, model_tinycnn
@@ -65,7 +64,7 @@ class TestBudgetBox:
 
 BLACK = Image(np.zeros((2, 2, 1)))
 ADAPTIVE = AttackConfig(mode="adaptive", epsilon=0.5, step_divisor=4.0)
-SMALL_DELTA = Perturbation(np.full((2, 2, 1), 0.25))
+SMALL_DELTA = np.full((2, 2, 1), 0.25)
 
 
 @pytest.mark.parametrize("use,expected", [
@@ -102,23 +101,24 @@ class TestAttackConfig:
 class TestInitDelta:
     def test_degenerate_box_gives_zero(self):
         box = BudgetBox(lower=np.zeros((2, 2, 1)), upper=np.zeros((2, 2, 1)))
-        assert np.array_equal(init_delta(box, seed=0).data, np.zeros((2, 2, 1)))
+        assert np.array_equal(init_delta(box, seed=0), np.zeros((2, 2, 1)))
 
     def test_deterministic(self):
         img = interior_image(4)
         box = budget_box(img, AttackConfig(mode="uniform", epsilon=0.1))
         a = init_delta(box, seed=7)
         b = init_delta(box, seed=7)
-        assert np.array_equal(a.data, b.data)
+        assert np.array_equal(a, b)
+        assert not a.flags.writeable
         c = init_delta(box, seed=8)
-        assert not np.array_equal(a.data, c.data)
+        assert not np.array_equal(a, c)
 
     def test_stays_in_box(self):
         img = Image(Xoshiro256StarStar(5).fill((10, 10, 3)))
         box = budget_box(img, AttackConfig(mode="adaptive", epsilon=0.2))
         delta = init_delta(box, seed=1)
-        assert np.all(delta.data >= box.lower)
-        assert np.all(delta.data <= box.upper)
+        assert np.all(delta >= box.lower)
+        assert np.all(delta <= box.upper)
 
     def test_mean_near_midpoint_statistical(self):
         # 1e5 coordinates with a constant box: the empirical mean must fall
@@ -130,7 +130,7 @@ class TestInitDelta:
         delta = init_delta(box, seed=11)
         midpoint = 0.02
         sigma = 0.2 / math.sqrt(12 * n)
-        assert abs(delta.data.mean() - midpoint) < 3 * sigma
+        assert abs(delta.mean() - midpoint) < 3 * sigma
 
 
 class TestPgdAttackIdentity:
@@ -142,8 +142,8 @@ class TestPgdAttackIdentity:
         config = AttackConfig(mode="uniform", epsilon=0.1, iterations=20, seed=3)
         result = pgd_attack(model_identity(), img, config)
         delta0 = init_delta(budget_box(img, config), seed=3)
-        moving = delta0.data != 0.0
-        assert np.all(np.abs(result.perturbation.data[moving]) == 0.1)
+        moving = delta0 != 0.0
+        assert np.all(np.abs(result.perturbation[moving]) == 0.1)
 
     def test_single_huge_step_saturates(self):
         img = interior_image(7, shape=(5, 5, 3))
@@ -151,9 +151,9 @@ class TestPgdAttackIdentity:
                               step_divisor=0.01, seed=5)
         result = pgd_attack(model_identity(), img, config)
         delta0 = init_delta(budget_box(img, config), seed=5)
-        signs = np.sign(delta0.data)
+        signs = np.sign(delta0)
         nonzero = signs != 0
-        assert np.all(np.abs(result.perturbation.data[nonzero]) == 0.05)
+        assert np.all(np.abs(result.perturbation[nonzero]) == 0.05)
 
     def test_objective_is_l2_of_delta(self):
         img = interior_image(8)
@@ -161,7 +161,7 @@ class TestPgdAttackIdentity:
         result = pgd_attack(model_identity(), img, config)
         delta0 = init_delta(budget_box(img, config), seed=9)
         assert result.objective_trace[0] == pytest.approx(
-            float(np.linalg.norm(delta0.data.ravel())), abs=1e-12)
+            float(np.linalg.norm(delta0.ravel())), abs=1e-12)
 
 
 class TestPgdConstraints:
@@ -202,14 +202,14 @@ class TestPgdConstraints:
         clean_out = model.forward(triplet.shadow)
         out_final = model.forward(result.attacked_image)
         out_init = model.forward(
-            Image(np.clip(triplet.shadow.data + delta0.data, 0, 1)))
+            Image(np.clip(triplet.shadow.data + delta0, 0, 1)))
         assert psnr(clean_out, out_final) < psnr(clean_out, out_init)
 
     def test_zero_budget_limit(self):
         img = interior_image(14)
         config = AttackConfig(mode="uniform", epsilon=1e-9, iterations=4, seed=1)
         result = pgd_attack(model_identity(), img, config)
-        assert np.abs(result.perturbation.data).max() <= 1e-9
+        assert np.abs(result.perturbation).max() <= 1e-9
 
     def test_deterministic_end_to_end(self):
         img = interior_image(15, shape=(10, 10, 3))
@@ -218,7 +218,8 @@ class TestPgdConstraints:
                               seed=21)
         r1 = pgd_attack(model, img, config)
         r2 = pgd_attack(model, img, config)
-        assert np.array_equal(r1.perturbation.data, r2.perturbation.data)
+        assert np.array_equal(r1.perturbation, r2.perturbation)
+        assert not r1.perturbation.flags.writeable
         assert r1.objective_trace == r2.objective_trace
         assert np.array_equal(r1.attacked_image.data, r2.attacked_image.data)
 
@@ -236,8 +237,8 @@ class TestPgdConstraints:
             def forward(self, image):
                 return image
 
-            def vjp(self, image):
-                return image, lambda cotangent: np.full_like(image.data, np.nan)
+            def vjp(self, x):
+                return x, lambda cotangent: np.full_like(x, np.nan)
 
         img = interior_image(17)
         config = AttackConfig(mode="uniform", epsilon=0.1, iterations=3, seed=0)
@@ -252,22 +253,38 @@ class TestPgdConstraints:
             def forward(self, image):
                 return image
 
-            def vjp(self, image):
+            def vjp(self, x):
                 self.passes += 1
                 if self.passes < 3:
-                    return image, lambda cotangent: cotangent
+                    return x, lambda cotangent: cotangent
 
                 def pullback(cotangent):
                     raise AssertionError("pullback ran on a NaN objective")
-                # Image() rejects NaN, so the output is a bare duck type
-                return SimpleNamespace(
-                    data=np.full_like(image.data, np.nan)), pullback
+                return np.full_like(x, np.nan), pullback
 
         img = interior_image(18)
         config = AttackConfig(mode="uniform", epsilon=0.1, iterations=5, seed=0)
         with pytest.raises(NonFiniteGradientError,
                            match="objective at iteration 2"):
             pgd_attack(NanOutputModel(), img, config)
+
+    def test_loop_builds_no_image(self, monkeypatch):
+        # the anchor, the attacked image and its output are the only Images
+        built = []
+        post_init = Image.__post_init__
+
+        def counting(self):
+            built.append(self)
+            post_init(self)
+        monkeypatch.setattr(Image, "__post_init__", counting)
+        img = interior_image(22, shape=(16, 16, 3))
+        counts = []
+        for iterations in (1, 8):
+            del built[:]
+            pgd_attack(model_gainmap(), img, AttackConfig(
+                mode="adaptive", epsilon=8 / 255, iterations=iterations))
+            counts.append(len(built))
+        assert counts[0] == counts[1]
 
     def test_parameters_untouched_by_attack(self):
         model = model_tinycnn(seed=5)
@@ -322,7 +339,7 @@ class TestBudgetEquivalence:
 class TestL1Bound:
     def test_zero_delta_holds(self):
         img = interior_image(20)
-        report = verify_l1_bound(Perturbation(np.zeros(img.shape)), img, 0.1)
+        report = verify_l1_bound(np.zeros(img.shape), img, 0.1)
         assert report.ok
         assert report.mean_abs == 0.0
 
@@ -331,7 +348,7 @@ class TestL1Bound:
         img = interior_image(21, lo=0.1, hi=0.7)
         eps_a = 16 / 255
         ieff = np.maximum(img.data, 1 / 255)
-        delta = Perturbation(eps_a * ieff)
+        delta = eps_a * ieff
         report = verify_l1_bound(delta, img, eps_a)
         assert report.ok
         assert report.mean_abs == pytest.approx(report.bound, abs=1e-9)
@@ -341,7 +358,7 @@ class TestL1Bound:
         eps_a = 0.1
         delta = eps_a * np.full(img.shape, 0.5)
         delta[1, 0, 0] += 2e-9
-        report = verify_l1_bound(Perturbation(delta), img, eps_a)
+        report = verify_l1_bound(delta, img, eps_a)
         assert not report.ok
         assert not report.per_pixel_ok
         assert report.first_violation == (1, 0, 0)

@@ -21,6 +21,12 @@ def forbid_model_load(monkeypatch):
     monkeypatch.setattr(cli, "load_model", load_model)
 
 
+def forbid_dataset_load(monkeypatch):
+    def load_triplet_dir(_path):
+        pytest.fail("the dataset was loaded before the flags were checked")
+    monkeypatch.setattr(cli, "load_triplet_dir", load_triplet_dir)
+
+
 def forbid_attack(monkeypatch):
     from shadowstorm import bench
 
@@ -298,8 +304,8 @@ class TestBench:
                 CountingModel.forwards += 1
                 return self.inner.forward(image)
 
-            def vjp(self, image):
-                return self.inner.vjp(image)
+            def vjp(self, x):
+                return self.inner.vjp(x)
 
         triplets = load_triplet_dir(dataset_dir)[:2]
         rows, failures = bench.run_sweep(
@@ -326,8 +332,8 @@ class TestBench:
                     raise RuntimeError("synthetic breakage")
                 return self.inner.forward(image)
 
-            def vjp(self, image):
-                return self.inner.vjp(image)
+            def vjp(self, x):
+                return self.inner.vjp(x)
 
         rows, failures = bench.run_sweep(
             BrokenAnchorModel(), triplets, [2 / 255, 4 / 255],
@@ -384,8 +390,8 @@ class TestBench:
                     raise error("synthetic breakage")
                 return self.inner.forward(image)
 
-            def vjp(self, image):
-                return self.inner.vjp(image)
+            def vjp(self, x):
+                return self.inner.vjp(x)
 
         monkeypatch.setattr(cli, "load_model", lambda _name: BrokenModel())
         out = tmp_path / "b.csv"
@@ -421,6 +427,20 @@ class TestBench:
                    if l and not l.startswith(("#", "image_id"))]
         for text, row in zip(printed, rows):
             assert text == format(row.epsilon_effective, ".9g")
+
+    @pytest.mark.parametrize("outputs", [["--out", "r.plot"],
+                                         ["--out", "r.csv",
+                                          "--plot-out", "./r.csv"]],
+                             ids=["default-plot-path", "plot-out"])
+    def test_plot_data_on_csv_usage_error_before_dataset_load(
+            self, dataset_dir, tmp_path, monkeypatch, capsys, outputs):
+        """The plot data would replace the CSV it names."""
+        forbid_dataset_load(monkeypatch)
+        monkeypatch.chdir(tmp_path)
+        rc = main(["bench", "--dataset", str(dataset_dir), *outputs])
+        assert rc == 2
+        assert "same file" in capsys.readouterr().err
+        assert os.listdir(tmp_path) == []
 
     def test_unsorted_budgets_rejected(self, dataset_dir, tmp_path):
         rc = main(["bench", "--dataset", str(dataset_dir), "--budgets",
@@ -522,10 +542,10 @@ class TestBench:
             def forward(self, image):
                 return self.inner.forward(image)
 
-            def vjp(self, image):
-                if image.width != image.height:
+            def vjp(self, x):
+                if x.shape[0] != x.shape[1]:
                     raise RuntimeError("synthetic breakage")
-                return self.inner.vjp(image)
+                return self.inner.vjp(x)
 
         triplets = load_triplet_dir(dataset_dir)
         # make the first triplet non-square so only it fails
@@ -632,14 +652,26 @@ class TestTrain:
                                             ("--lr", "nan"), ("--lr", "inf")])
     def test_bad_flag_usage_error_before_dataset_load(
             self, dataset_dir, tmp_path, monkeypatch, capsys, flag, value):
-        def load_triplet_dir(_path):
-            pytest.fail("the dataset was loaded before the flags were checked")
-        monkeypatch.setattr(cli, "load_triplet_dir", load_triplet_dir)
+        forbid_dataset_load(monkeypatch)
         rc = main(["train", "--dataset", str(dataset_dir), flag, value,
                    "--out", str(tmp_path / "p.sspm")])
         assert rc == 2
         assert flag in capsys.readouterr().err
         assert os.listdir(tmp_path) == []
+
+    @pytest.mark.parametrize("loss_log", ["p.sspm", "sub/../p.sspm"])
+    def test_loss_log_on_params_usage_error_before_dataset_load(
+            self, dataset_dir, tmp_path, monkeypatch, capsys, loss_log):
+        """The loss log would replace the parameters it names."""
+        forbid_dataset_load(monkeypatch)
+        (tmp_path / "sub").mkdir()
+        rc = main(["train", "--dataset", str(dataset_dir), "--out",
+                   str(tmp_path / "p.sspm"), "--loss-log",
+                   str(tmp_path / loss_log)])
+        assert rc == 2
+        assert "same file" in capsys.readouterr().err
+        assert os.listdir(tmp_path) == ["sub"]
+        assert os.listdir(tmp_path / "sub") == []
 
     def test_empty_dataset_usage_error(self, tmp_path):
         empty = tmp_path / "empty"

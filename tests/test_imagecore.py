@@ -5,9 +5,9 @@ import numpy as np
 import pytest
 
 from shadowstorm import bench, models
-from shadowstorm.imagecore import (Image, PnmError, Perturbation, ShadowMask,
-                                   load_mask, load_pnm, mean_intensity,
-                                   quantize, save_mask, save_pnm)
+from shadowstorm.imagecore import (Image, PnmError, ShadowMask, load_mask,
+                                   load_pnm, mean_intensity, quantize,
+                                   save_mask, save_pnm)
 from shadowstorm.rng import Xoshiro256StarStar
 
 
@@ -211,10 +211,6 @@ class TestContainers:
     def test_mask_rejects_non_binary(self):
         with pytest.raises(ValueError, match="0 or 1"):
             ShadowMask(np.array([[0, 2]]))
-
-    def test_perturbation_rejects_nan(self):
-        with pytest.raises(ValueError, match="finite"):
-            Perturbation(np.full((1, 1, 1), np.nan))
 
     def test_quantize_rule(self):
         assert quantize(np.array([0.0, 0.5, 1.0])).tolist() == [0, 128, 255]

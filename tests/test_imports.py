@@ -27,3 +27,10 @@ def test_every_top_level_import_is_used(path):
     tree = ast.parse(path.read_text(encoding="utf-8"))
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     assert [name for name in top_level_imports(tree) if name not in used] == []
+
+
+def test_package_root_exports_exactly_its_imports():
+    """`__all__` names what `__init__.py` imports, no more and no less, so
+    removing a public name cannot leave a stale re-export or entry."""
+    tree = ast.parse(Path(shadowstorm.__file__).read_text(encoding="utf-8"))
+    assert sorted(top_level_imports(tree)) == sorted(shadowstorm.__all__)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from shadowstorm.attack import AttackConfig, pgd_attack
-from shadowstorm.imagecore import Image, Perturbation, ShadowMask
+from shadowstorm.imagecore import Image, ShadowMask
 from shadowstorm.metrics import (EmptyRegionError, check_mask,
                                  normalized_perturbation_map,
                                  perturbation_norms, psnr, region_mse,
@@ -199,12 +199,12 @@ class TestRegionTriples:
 class TestPerturbationNorms:
     def test_zero_delta(self):
         img, _ = random_pair(16)
-        norms = perturbation_norms(Perturbation(np.zeros(img.shape)), img)
+        norms = perturbation_norms(np.zeros(img.shape), img)
         assert (norms.l1_mean, norms.linf, norms.linf_normalized) == (0, 0, 0)
 
     def test_direct_computation(self):
         img = Image(np.array([[[0.5], [0.8]]]))
-        delta = Perturbation(np.array([[[0.1], [-0.2]]]))
+        delta = np.array([[[0.1], [-0.2]]])
         norms = perturbation_norms(delta, img)
         assert norms.l1_mean == pytest.approx(0.15)
         assert norms.linf == pytest.approx(0.2)
@@ -212,19 +212,19 @@ class TestPerturbationNorms:
 
     def test_normalized_map_values(self):
         img = Image(np.array([[[0.1]]]))
-        delta = Perturbation(np.array([[[0.05]]]))
+        delta = np.array([[[0.05]]])
         nmap = normalized_perturbation_map(delta, img)
         assert nmap[0, 0, 0] == pytest.approx(0.5)
 
     def test_map_not_clamped_above_one(self):
         img = Image(np.full((1, 1, 1), 0.01))
-        delta = Perturbation(np.full((1, 1, 1), 0.05))
+        delta = np.full((1, 1, 1), 0.05)
         nmap = normalized_perturbation_map(delta, img)
         assert nmap[0, 0, 0] == pytest.approx(5.0)
 
     def test_dark_pixel_floor(self):
         img = Image(np.zeros((1, 1, 1)))
-        delta = Perturbation(np.full((1, 1, 1), 1 / 255))
+        delta = np.full((1, 1, 1), 1 / 255)
         nmap = normalized_perturbation_map(delta, img)
         assert nmap[0, 0, 0] == pytest.approx(1.0)
 
