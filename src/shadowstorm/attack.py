@@ -30,8 +30,7 @@ from .rng import Xoshiro256StarStar
 
 log = logging.getLogger(__name__)
 
-MODE_UNIFORM = "uniform"
-MODE_ADAPTIVE = "adaptive"
+MODES = MODE_UNIFORM, MODE_ADAPTIVE = ("uniform", "adaptive")
 
 
 class NonFiniteGradientError(ArithmeticError):
@@ -54,7 +53,7 @@ class AttackConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.mode not in (MODE_UNIFORM, MODE_ADAPTIVE):
+        if self.mode not in MODES:
             raise ValueError(f"unknown attack mode {self.mode!r}")
         if not 0.0 < self.epsilon < 1.0:
             raise ValueError(f"epsilon must lie in (0, 1), got {self.epsilon}")

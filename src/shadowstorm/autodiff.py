@@ -75,10 +75,6 @@ class Tensor:
         self._backward = _backward
         self._backward_done = False
 
-    @property
-    def shape(self):
-        return self.data.shape
-
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
 
@@ -138,8 +134,6 @@ class Tensor:
             if node._backward is not None and node.grad is not None:
                 node._backward(node.grad)
         for node in topo:
-            if node.requires_grad and node.grad is None:
-                node.grad = np.zeros_like(node.data)
             node._backward = None
             node._parents = ()
 

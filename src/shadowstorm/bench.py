@@ -17,8 +17,8 @@ import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields
 
-from .attack import (AttackConfig, AttackResult, equivalent_uniform_budget,
-                     pgd_attack)
+from .attack import (MODE_UNIFORM, AttackConfig, AttackResult,
+                     equivalent_uniform_budget, pgd_attack)
 from .imagecore import Image, ShadowMask, write_atomic
 from .metrics import (perturbation_norms, psnr, region_psnr, region_ssim,
                       ssim)
@@ -61,8 +61,6 @@ _METRIC_COLUMNS = RESULT_COLUMNS[4:16]
 
 def fmt_value(value) -> str:
     """Deterministic text form: 'inf'/'nan' markers, shortest float repr."""
-    if isinstance(value, str):
-        return value
     if isinstance(value, int):
         return str(value)
     v = float(value)
@@ -126,7 +124,7 @@ def evaluate_cell(model: DiffModel, image_id: str, triplet: Triplet,
     """Attack one image at one budget and measure everything; `anchor` is
     the model's clean output on the image."""
     epsilon = epsilon_nominal
-    if mode == "uniform" and equalize:
+    if mode == MODE_UNIFORM and equalize:
         epsilon = equivalent_uniform_budget(triplet.shadow, epsilon_nominal)
     config = AttackConfig(mode=mode, epsilon=epsilon, iterations=iterations,
                           step_divisor=step_divisor,

@@ -4,6 +4,12 @@ Exit codes: 0 success, 1 failed cells in a sweep, 2 usage error, 3 I/O or
 file-format error, 4 numeric failure (also a sweep that wrote no row
 because every cell failed numerically), 5 validation failure.
 All commands are deterministic under fixed flags.
+
+Each flag's rule is its argparse ``type`` (:func:`at_least`,
+:func:`positive`, :func:`parse_budget`, :func:`parse_budgets`,
+:func:`parse_modes`, :func:`parse_size`), so a bad flag exits 2 while the
+arguments are parsed, before any file is read. Each input image is checked
+once, by :func:`metrics.check_scorable`, before the model loads.
 """
 
 from __future__ import annotations
@@ -16,7 +22,7 @@ import sys
 import numpy as np
 
 from . import bench, metrics
-from .attack import AttackConfig, pgd_attack
+from .attack import MODES, AttackConfig, pgd_attack
 from .imagecore import (Image, PnmError, ShadowMask, load_mask, load_pnm,
                         save_pnm, write_atomic)
 from .models import (ParamsError, load_params, model_gainmap, model_identity,
@@ -41,8 +47,8 @@ MMAP_THRESHOLD_BYTES = 32 << 20  # glibc's largest mmap threshold on 64-bit
 TRIM_THRESHOLD_BYTES = 2 * MMAP_THRESHOLD_BYTES  # glibc's own dynamic ratio
 
 
-class UsageError(ValueError):
-    pass
+class UsageError(ValueError, argparse.ArgumentTypeError):
+    """Exit 2. Raised by a flag's type, argparse reports it under the flag."""
 
 
 def parse_budget(text: str) -> float:
@@ -71,6 +77,47 @@ def parse_size(text: str) -> tuple[int, int]:
     return size
 
 
+def parse_budgets(text: str) -> list[float]:
+    """Comma-separated budgets, strictly ascending as printed: rows and
+    cell seeds are keyed by the printed budget."""
+    budgets = [parse_budget(b) for b in text.split(",")]
+    for a, b in zip(budgets, budgets[1:]):
+        if a >= b or bench.fmt_epsilon(a) == bench.fmt_epsilon(b):
+            raise UsageError("budgets must be strictly ascending as printed, "
+                             f"got {bench.fmt_epsilon(a)} then "
+                             f"{bench.fmt_epsilon(b)}")
+    return budgets
+
+
+def parse_modes(text: str) -> list[str]:
+    """Comma-separated attack modes, each known and given once."""
+    modes = text.split(",")
+    for mode in modes:
+        if mode not in MODES:
+            raise UsageError(f"unknown mode {mode!r}, expected one of {MODES}")
+    if len(set(modes)) < len(modes):
+        raise UsageError(f"modes must be distinct, got {text!r}")
+    return modes
+
+
+def at_least(least: int):
+    """The type of an integer flag that must be >= `least`."""
+    def integer(text: str) -> int:
+        value = int(text)
+        if value < least:
+            raise UsageError(f"must be >= {least}, got {value}")
+        return value
+    return integer
+
+
+def positive(text: str) -> float:
+    """The type of a real flag that must be positive and finite."""
+    value = float(text)
+    if not 0.0 < value < np.inf:
+        raise UsageError(f"must be positive and finite, got {text}")
+    return value
+
+
 def load_model(identifier: str):
     """Zoo name or a parameter-file path."""
     if identifier == "identity":
@@ -85,31 +132,12 @@ def load_model(identifier: str):
                      f"{ZOO_NAMES} or a parameter file")
 
 
-def _check_flags(counts=(), reals=(), least=1) -> None:
-    """Usage error unless every (flag, value) in `counts` is >= `least` and
-    every one in `reals` is positive and finite."""
-    for flag, value in counts:
-        if value < least:
-            raise UsageError(f"{flag} must be >= {least}, got {value}")
-    for flag, value in reals:
-        if not 0.0 < value < np.inf:
-            raise UsageError(f"{flag} must be positive and finite, got {value}")
-
-
-def _check_ssim_size(image: Image, what: str) -> None:
-    """Every result row carries SSIM, so an image must hold one window."""
-    if min(image.height, image.width) < metrics.SSIM_WINDOW:
-        raise UsageError(
-            f"{what} is {image.height}x{image.width}, smaller than the "
-            f"{metrics.SSIM_WINDOW}x{metrics.SSIM_WINDOW} SSIM window")
-
-
-def _check_mask(mask: ShadowMask, what: str) -> None:
-    """Every region column needs shadow and non-shadow pixels and window
-    centers, so a mask short of either fails before any attack."""
+def _check_scorable(image: Image, mask: ShadowMask | None, what: str) -> None:
+    """Usage error, naming `what`, unless every score of a result row can
+    be computed on `image` (and `mask`): checked before any attack."""
     try:
-        metrics.check_mask(mask)
-    except metrics.EmptyRegionError as exc:
+        metrics.check_scorable(image, mask)
+    except ValueError as exc:
         raise UsageError(f"{what}: {exc}") from None
 
 
@@ -130,10 +158,7 @@ def _write_stretched(arr: np.ndarray, path) -> float:
 
 def cmd_gen(args) -> int:
     config = SynthConfig(seed=args.seed, count=args.count,
-                         height=args.size[0], width=args.size[1],
-                         attenuation_range=(args.k_min, args.k_max),
-                         mask_area_range=(args.area_min, args.area_max),
-                         blur_radius=args.blur_radius)
+                         height=args.size[0], width=args.size[1])
     entries = gen_dataset(config, args.out)
     print(f"wrote {len(entries)} triplets to {args.out}")
     return EXIT_OK
@@ -143,12 +168,8 @@ def cmd_attack(args) -> int:
     image = load_pnm(args.image)
     mask = load_mask(args.mask) if args.mask else None
     free = load_pnm(args.free) if args.free else None
-    _check_ssim_size(image, args.image)
-    if mask is not None:
-        if not mask.matches(image):
-            raise UsageError(f"mask {args.mask} is {mask.height}x{mask.width}, "
-                             f"image is {image.height}x{image.width}")
-        _check_mask(mask, f"mask {args.mask}")
+    _check_scorable(image, mask, args.image
+                    + (f" with mask {args.mask}" if args.mask else ""))
     if free is not None and free.shape != image.shape:
         raise UsageError(f"--free image has shape {free.shape}, "
                          f"image has {image.shape}")
@@ -179,32 +200,16 @@ def cmd_attack(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    _check_flags(counts=(("--iters", args.iters), ("--jobs", args.jobs)),
-                 reals=(("--step-div", args.step_div),))
     plot_path = args.plot_out or os.path.splitext(args.out)[0] + ".plot"
     _check_distinct(args.out, plot_path, "plot data")
     triplets = load_triplet_dir(args.dataset)
     if not triplets:
         raise UsageError(f"no triplets in {args.dataset}")
     for index, triplet in triplets:
-        _check_ssim_size(triplet.shadow, f"triplet {index:04d}")
-        _check_mask(triplet.mask, f"triplet {index:04d} mask")
-    budgets = [parse_budget(b) for b in args.budgets.split(",")]
-    for a, b in zip(budgets, budgets[1:]):
-        # rows and cell seeds are keyed by the printed budget
-        if a >= b or bench.fmt_epsilon(a) == bench.fmt_epsilon(b):
-            raise UsageError("budgets must be strictly ascending as printed, "
-                             f"got {bench.fmt_epsilon(a)} then "
-                             f"{bench.fmt_epsilon(b)}")
-    modes = args.modes.split(",")
-    for mode in modes:
-        if mode not in ("uniform", "adaptive"):
-            raise UsageError(f"unknown mode {mode!r}")
-    if len(set(modes)) < len(modes):
-        raise UsageError(f"modes must be distinct, got {args.modes!r}")
+        _check_scorable(triplet.shadow, triplet.mask, f"triplet {index:04d}")
     model = load_model(args.model)
     rows, failures = bench.run_sweep(
-        model, triplets, budgets, modes, equalize=args.equalize,
+        model, triplets, args.budgets, args.modes, equalize=args.equalize,
         iterations=args.iters, step_divisor=args.step_div, seed=args.seed,
         jobs=args.jobs)
     comments = (f"# model {model.name}", f"# dataset {args.dataset}",
@@ -219,8 +224,6 @@ def cmd_bench(args) -> int:
 
 
 def cmd_gradcheck(args) -> int:
-    _check_flags(counts=(("--inputs", args.inputs),),
-                 reals=(("--h", args.h), ("--tol", args.tol)))
     names = ZOO_NAMES if args.model == "all" else (args.model,)
     worst_name, worst = None, None
     failures = []
@@ -248,8 +251,6 @@ def cmd_gradcheck(args) -> int:
 
 
 def cmd_train(args) -> int:
-    _check_flags(counts=(("--epochs", args.epochs),), reals=(("--lr", args.lr),),
-                 least=0)
     log_path = args.loss_log or args.out + ".losslog.csv"
     _check_distinct(args.out, log_path, "loss log")
     triplets = load_triplet_dir(args.dataset)
@@ -281,19 +282,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--size", type=parse_size, default=(64, 64),
                    help="HxW, e.g. 64x64")
     p.add_argument("--out", required=True)
-    p.add_argument("--k-min", type=float, default=0.4)
-    p.add_argument("--k-max", type=float, default=0.8)
-    p.add_argument("--area-min", type=float, default=0.1)
-    p.add_argument("--area-max", type=float, default=0.4)
-    p.add_argument("--blur-radius", type=int, default=2)
     p.set_defaults(func=cmd_gen)
 
     p = sub.add_parser("attack", help="attack a single image")
-    p.add_argument("--mode", choices=("uniform", "adaptive"), required=True)
+    p.add_argument("--mode", choices=MODES, required=True)
     p.add_argument("--eps", type=parse_budget, required=True,
                    help="budget, e.g. 16/255 or 0.0627")
-    p.add_argument("--iters", type=int, default=20)
-    p.add_argument("--step-div", type=float, default=4.0)
+    p.add_argument("--iters", type=at_least(1), default=20)
+    p.add_argument("--step-div", type=positive, default=4.0)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--model", default="gainmap")
     p.add_argument("--image", required=True)
@@ -306,14 +302,15 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bench", help="sweep attacks over a dataset")
     p.add_argument("--dataset", required=True)
     p.add_argument("--model", default="gainmap")
-    p.add_argument("--budgets", default="1/255,2/255,4/255,8/255,16/255")
-    p.add_argument("--modes", default="uniform,adaptive")
+    p.add_argument("--budgets", type=parse_budgets,
+                   default="1/255,2/255,4/255,8/255,16/255")
+    p.add_argument("--modes", type=parse_modes, default=",".join(MODES))
     p.add_argument("--equalize", action="store_true",
                    help="per-image uniform budget = eps * mean intensity")
-    p.add_argument("--iters", type=int, default=20)
-    p.add_argument("--step-div", type=float, default=4.0)
+    p.add_argument("--iters", type=at_least(1), default=20)
+    p.add_argument("--step-div", type=positive, default=4.0)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=at_least(1), default=1)
     p.add_argument("--out", required=True)
     p.add_argument("--plot-out", default=None)
     p.set_defaults(func=cmd_bench)
@@ -321,17 +318,17 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gradcheck", help="finite-difference check of the zoo")
     p.add_argument("--model", default="all",
                    help="all, a zoo name, or a parameter file")
-    p.add_argument("--inputs", type=int, default=3)
+    p.add_argument("--inputs", type=at_least(1), default=3)
     p.add_argument("--size", type=parse_size, default=(16, 16))
-    p.add_argument("--h", type=float, default=1e-4)
-    p.add_argument("--tol", type=float, default=1e-4)
+    p.add_argument("--h", type=positive, default=1e-4)
+    p.add_argument("--tol", type=positive, default=1e-4)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_gradcheck)
 
     p = sub.add_parser("train", help="train the tiny CNN on a triplet dataset")
     p.add_argument("--dataset", required=True)
-    p.add_argument("--epochs", type=int, default=100)
-    p.add_argument("--lr", type=float, default=0.05)
+    p.add_argument("--epochs", type=at_least(0), default=100)
+    p.add_argument("--lr", type=positive, default=0.05)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
     p.add_argument("--loss-log", default=None)
@@ -367,21 +364,14 @@ def main(argv=None) -> int:
         return exc.code if exc.code is not None else EXIT_USAGE
     try:
         return args.func(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (PnmError, ParamsError, TripletDirError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
+    except (PnmError, ParamsError, TripletDirError, OSError) as exc:
+        error, code = exc, EXIT_IO
     except ArithmeticError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        error, code = exc, EXIT_NUMERIC
+    except ValueError as exc:  # UsageError too
+        error, code = exc, EXIT_USAGE
+    print(f"error: {error}", file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

@@ -11,8 +11,8 @@ mask value at its window center.
 :func:`region_psnr` and :func:`region_ssim` return (all, shadow,
 non-shadow) triples, the whole-image entry equal to the whole-image
 function bit for bit; :func:`region_ssim` scores one image against several
-references, one map each. :func:`check_mask` tells up front whether a mask
-leaves both regions something to measure.
+references, one map each. :func:`check_scorable` tells up front whether an
+image (and mask) can give every one of those scores.
 """
 
 from __future__ import annotations
@@ -61,10 +61,16 @@ def _regions(mask: ShadowMask, shape: tuple[int, int], margin: int = 0
     return regions
 
 
-def check_mask(mask: ShadowMask) -> None:
-    """Raise EmptyRegionError unless the shadow and the non-shadow region
-    each hold pixels (for PSNR) and valid SSIM window centers (for SSIM)."""
-    _regions(mask, mask.data.shape, _SSIM_MARGIN)
+def check_scorable(image: Image, mask: ShadowMask | None = None) -> None:
+    """Raise ValueError unless `image` holds one SSIM window and `mask`, if
+    given, has its size; EmptyRegionError unless the shadow and non-shadow
+    region each hold pixels (for PSNR) and window centers (for SSIM)."""
+    if min(image.height, image.width) < SSIM_WINDOW:
+        raise ValueError(
+            f"image {image.height}x{image.width} is smaller than the "
+            f"{SSIM_WINDOW}x{SSIM_WINDOW} SSIM window")
+    if mask is not None:
+        _regions(mask, image.shape[:2], _SSIM_MARGIN)
 
 
 def _check_pair(x: Image, y: Image) -> None:
@@ -121,10 +127,7 @@ def _ssim_maps(references: Sequence[Image], y: Image) -> list[np.ndarray]:
     and variance of `y` computed once for them all."""
     for x in references:
         _check_pair(x, y)
-    if min(y.height, y.width) < SSIM_WINDOW:
-        raise ValueError(
-            f"image {y.height}x{y.width} is smaller than the "
-            f"{SSIM_WINDOW}x{SSIM_WINDOW} SSIM window")
+    check_scorable(y)
     c1, c2 = SSIM_K1 ** 2, SSIM_K2 ** 2
     yd = y.data
     mu_y = _filter_valid(yd)

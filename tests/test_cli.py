@@ -96,8 +96,11 @@ class TestParsers:
 
     @pytest.mark.parametrize("command,retired", [
         ("attack", ["--floor", "2/255"]), ("bench", ["--floor", "2/255"]),
-        ("bench", ["--timing"])], ids=["attack-floor", "bench-floor",
-                                        "bench-timing"])
+        ("bench", ["--timing"]), ("gen", ["--k-min", "0.3"]),
+        ("gen", ["--k-max", "0.9"]), ("gen", ["--area-min", "0.2"]),
+        ("gen", ["--area-max", "0.5"]), ("gen", ["--blur-radius", "3"])],
+        ids=["attack-floor", "bench-floor", "bench-timing", "gen-k-min",
+             "gen-k-max", "gen-area-min", "gen-area-max", "gen-blur-radius"])
     def test_retired_flag_usage_error(self, dataset_dir, tmp_path, capsys,
                                       command, retired):
         # a script that still passes one must fail, not run another setup
@@ -105,9 +108,39 @@ class TestParsers:
                            "--image", str(dataset_dir / "shadow_0000.ppm"),
                            "--out-prefix", str(tmp_path / "x")],
                 "bench": ["bench", "--dataset", str(dataset_dir),
-                          "--out", str(tmp_path / "r.csv")]}[command]
+                          "--out", str(tmp_path / "r.csv")],
+                "gen": ["gen", "--out", str(tmp_path / "data")]}[command]
         assert main(argv + retired) == 2
         assert retired[0] in capsys.readouterr().err
+        assert os.listdir(tmp_path) == []
+
+    @pytest.mark.parametrize("command,flag,value", [
+        ("attack", "--mode", "bogus"), ("attack", "--eps", "0"),
+        ("attack", "--iters", "0"), ("attack", "--step-div", "nan"),
+        ("bench", "--budgets", "2/255,1/255"), ("bench", "--modes", "bogus"),
+        ("bench", "--iters", "0"), ("bench", "--step-div", "-1"),
+        ("bench", "--jobs", "0"),
+        ("gradcheck", "--inputs", "0"), ("gradcheck", "--size", "0x0"),
+        ("gradcheck", "--h", "inf"), ("gradcheck", "--tol", "0"),
+        ("train", "--epochs", "-1"), ("train", "--lr", "0")])
+    def test_bad_flag_fails_while_parsing(self, dataset_dir, tmp_path,
+                                          monkeypatch, capsys, command, flag,
+                                          value):
+        """A flag's rule is its type: the command body never runs."""
+        def refuse(_args):
+            pytest.fail(f"{command} ran with a bad {flag}")
+        monkeypatch.setattr(cli, f"cmd_{command}", refuse)
+        required = {
+            "attack": ["--mode", "uniform", "--eps", "4/255",
+                       "--image", str(dataset_dir / "shadow_0000.ppm"),
+                       "--out-prefix", str(tmp_path / "x")],
+            "bench": ["--dataset", str(dataset_dir),
+                      "--out", str(tmp_path / "r.csv")],
+            "gradcheck": [],
+            "train": ["--dataset", str(dataset_dir),
+                      "--out", str(tmp_path / "p.sspm")]}[command]
+        assert main([command, *required, flag, value]) == 2
+        assert f"argument {flag}" in capsys.readouterr().err
         assert os.listdir(tmp_path) == []
 
 
@@ -224,7 +257,21 @@ class TestAttack:
                    "--image", str(dataset_dir / "shadow_0000.ppm"),
                    "--out-prefix", str(out / "x")])
         assert rc == 2
-        assert "step_divisor" in capsys.readouterr().err
+        assert "--step-div" in capsys.readouterr().err
+        assert os.listdir(out) == []
+
+    def test_free_of_another_shape_usage_error_before_model_load(
+            self, dataset_dir, tmp_path, monkeypatch, capsys):
+        free = tmp_path / "free.ppm"
+        save_pnm(Image(np.full((24, 32, 3), 0.5)), free)
+        out = tmp_path / "out"
+        out.mkdir()
+        forbid_model_load(monkeypatch)
+        rc = main(["attack", "--mode", "uniform", "--eps", "4/255",
+                   "--image", str(dataset_dir / "shadow_0000.ppm"),
+                   "--free", str(free), "--out-prefix", str(out / "x")])
+        assert rc == 2
+        assert "--free" in capsys.readouterr().err
         assert os.listdir(out) == []
 
     def test_missing_image_is_io_error(self, tmp_path):
@@ -470,7 +517,8 @@ class TestBench:
     @pytest.mark.parametrize("flag,value", [("--budgets", "1/255,1/255"),
                                             ("--budgets", "1/255,2/255,2/255"),
                                             ("--budgets", "0.1,0.1000000001"),
-                                            ("--modes", "uniform,uniform")])
+                                            ("--modes", "uniform,uniform"),
+                                            ("--modes", "uniform,bogus")])
     def test_duplicate_budget_or_mode_usage_error_before_model_load(
             self, dataset_dir, tmp_path, monkeypatch, flag, value):
         forbid_model_load(monkeypatch)
@@ -593,6 +641,25 @@ class TestGradcheckCommand:
         forbid_model_load(monkeypatch)
         assert main(["gradcheck", "--model", "identity", flag, value]) == 2
         assert flag in capsys.readouterr().err
+
+    def test_gradient_mismatch_is_validation_failure(self, monkeypatch,
+                                                     capsys):
+        from shadowstorm import autodiff
+        from shadowstorm.models import IdentityModel
+
+        class DoubledIdentity(IdentityModel):
+            """The identity, with a backward rule twice the true one."""
+            def forward_t(self, x, params):
+                return autodiff._make(x.data, (x,),
+                                      lambda g: x._accumulate(2.0 * g))
+
+        monkeypatch.setattr(cli, "load_model", lambda _name: DoubledIdentity())
+        rc = main(["gradcheck", "--model", "identity", "--inputs", "1",
+                   "--size", "4x4"])
+        assert rc == 5
+        out, err = capsys.readouterr()
+        assert "identity gradient mismatch 5.000e-01 at coordinate (" in err
+        assert "np.int64" not in out + err
 
     def test_too_few_valid_probes_is_validation_failure(self, capsys):
         # a tolerance far below float noise seats every coordinate on a

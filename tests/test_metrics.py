@@ -6,7 +6,7 @@ import pytest
 
 from shadowstorm.attack import AttackConfig, pgd_attack
 from shadowstorm.imagecore import Image, ShadowMask
-from shadowstorm.metrics import (EmptyRegionError, check_mask,
+from shadowstorm.metrics import (EmptyRegionError, check_scorable,
                                  normalized_perturbation_map,
                                  perturbation_norms, psnr, region_mse,
                                  region_psnr, region_ssim, ssim, ssim_map)
@@ -156,7 +156,8 @@ class TestSsim:
             assert np.array(got).tobytes() == np.array(expected).tobytes()
 
     def test_check_mask_needs_pixels_and_window_centers(self):
-        check_mask(checker_mask(16, 16))
+        image = Image(np.full((16, 16, 3), 0.5))
+        check_scorable(image, checker_mask(16, 16))
         border = np.ones((16, 16), dtype=np.uint8)
         border[5:-5, 5:-5] = 0  # shadow only where no window is centered
         for data, match in ((np.zeros((16, 16)), "both shadow"),
@@ -164,7 +165,17 @@ class TestSsim:
                             (border, "'shadow' has no window centers"),
                             (1 - border, "'nonshadow' has no window centers")):
             with pytest.raises(EmptyRegionError, match=match):
-                check_mask(ShadowMask(data.astype(np.uint8)))
+                check_scorable(image, ShadowMask(data.astype(np.uint8)))
+
+    @pytest.mark.parametrize("image_size,mask_size,match", [
+        ((10, 16), None, "smaller than the 11x11 SSIM window"),
+        ((16, 16), (16, 12), "does not match image shape")],
+        ids=["below-ssim-window", "mask-size-mismatch"])
+    def test_check_scorable_needs_a_window_and_a_mask_of_the_image_size(
+            self, image_size, mask_size, match):
+        mask = None if mask_size is None else checker_mask(*mask_size)
+        with pytest.raises(ValueError, match=match):
+            check_scorable(Image(np.full((*image_size, 3), 0.5)), mask)
 
     def test_region_fully_outside_valid_area_rejected(self):
         x, y = random_pair(14, shape=(16, 16, 1))
