@@ -5,6 +5,14 @@ produced it; calling :meth:`Tensor.backward` on a scalar result walks the
 tape in reverse topological order and accumulates exact vector-Jacobian
 products into every reachable tensor with ``requires_grad``.
 
+The op rule: a primitive computes its value and hands :func:`_make` one
+(parent, vjp) pair per operand, vjp(g) being that operand's share of the
+output cotangent. ``_make`` alone decides what is taped: operands that
+need no gradient (parameters, constants) are dropped, an output with none
+left is a constant, and the one backward rule sums each share back over
+broadcast axes and accumulates it. The tape so links only tensors that
+need a gradient.
+
 The primitive set is deliberately small and holds only what the model zoo
 and its trainer use: element-wise add/sub/mul/div and scaling, relu,
 clamp, 2-D convolution (stride 1, zero-padded to same size), depthwise
@@ -130,7 +138,7 @@ class Tensor:
                     stack.append((parent, False))
 
         for node in reversed(topo):
-            # a backward rule may leave a parent without any contribution
+            # a hand-built rule may leave a parent without a gradient
             if node._backward is not None and node.grad is not None:
                 node._backward(node.grad)
         for node in topo:
@@ -138,87 +146,58 @@ class Tensor:
             node._parents = ()
 
 
-def _make(data: np.ndarray, parents: tuple[Tensor, ...],
-          back: Callable[[np.ndarray], None]) -> Tensor:
-    """Create an op output; records the tape, with `back(g)` as its rule,
-    only if some parent needs grad, so a one-parent rule may assume it does."""
-    if not any(p.requires_grad for p in parents):
+def _make(data: np.ndarray, *rules: tuple[Tensor, Callable]) -> Tensor:
+    """Create an op output. Each rule is a pair (parent, vjp), where vjp(g)
+    is that parent's share of the output cotangent g, possibly of the
+    broadcast output shape. Only parents that need a gradient are kept: with
+    none the output is a constant; otherwise they alone are its tape parents,
+    and its one backward rule sums each share down to its parent's shape and
+    accumulates it, in rule order."""
+    rules = tuple((p, vjp) for p, vjp in rules if p.requires_grad)
+    if not rules:
         return Tensor(data)
-    return Tensor(data, requires_grad=True, _parents=parents, _backward=back)
+
+    def back(g):
+        for parent, vjp in rules:
+            parent._accumulate(_unbroadcast(vjp(g), parent.data.shape))
+    return Tensor(data, requires_grad=True,
+                  _parents=tuple(p for p, _ in rules), _backward=back)
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
     _shape_check("add", a.data, b.data)
-    data = a.data + b.data
-
-    def back(g):
-        if a.requires_grad:
-            a._accumulate(_unbroadcast(g, a.data.shape))
-        if b.requires_grad:
-            b._accumulate(_unbroadcast(g, b.data.shape))
-    return _make(data, (a, b), back)
+    return _make(a.data + b.data, (a, lambda g: g), (b, lambda g: g))
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
     _shape_check("sub", a.data, b.data)
-    data = a.data - b.data
-
-    def back(g):
-        if a.requires_grad:
-            a._accumulate(_unbroadcast(g, a.data.shape))
-        if b.requires_grad:
-            b._accumulate(_unbroadcast(-g, b.data.shape))
-    return _make(data, (a, b), back)
+    return _make(a.data - b.data, (a, lambda g: g), (b, lambda g: -g))
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
     _shape_check("mul", a.data, b.data)
-    data = a.data * b.data
-
-    def back(g):
-        if a.requires_grad:
-            a._accumulate(_unbroadcast(g * b.data, a.data.shape))
-        if b.requires_grad:
-            b._accumulate(_unbroadcast(g * a.data, b.data.shape))
-    return _make(data, (a, b), back)
+    return _make(a.data * b.data, (a, lambda g: g * b.data),
+                 (b, lambda g: g * a.data))
 
 
 def div(a: Tensor, b: Tensor) -> Tensor:
     _shape_check("div", a.data, b.data)
-    data = a.data / b.data
-
-    def back(g):
-        if a.requires_grad:
-            a._accumulate(_unbroadcast(g / b.data, a.data.shape))
-        if b.requires_grad:
-            b._accumulate(_unbroadcast(
-                -g * a.data / (b.data * b.data), b.data.shape))
-    return _make(data, (a, b), back)
+    return _make(a.data / b.data, (a, lambda g: g / b.data),
+                 (b, lambda g: -g * a.data / (b.data * b.data)))
 
 
 def smul(a: Tensor, scalar: float) -> Tensor:
-    data = a.data * scalar
-
-    def back(g):
-        a._accumulate(g * scalar)
-    return _make(data, (a,), back)
+    return _make(a.data * scalar, (a, lambda g: g * scalar))
 
 
 def relu(a: Tensor) -> Tensor:
-    data = np.maximum(a.data, 0.0)
-
-    def back(g):
-        a._accumulate(g * (a.data > 0.0))
-    return _make(data, (a,), back)
+    return _make(np.maximum(a.data, 0.0), (a, lambda g: g * (a.data > 0.0)))
 
 
 def clamp(a: Tensor, lo: float, hi: float) -> Tensor:
     """Clip to [lo, hi]; gradient passes only strictly inside the bounds."""
-    data = np.clip(a.data, lo, hi)
-
-    def back(g):
-        a._accumulate(g * ((a.data > lo) & (a.data < hi)))
-    return _make(data, (a,), back)
+    return _make(np.clip(a.data, lo, hi),
+                 (a, lambda g: g * ((a.data > lo) & (a.data < hi))))
 
 
 def clamp01(a: Tensor) -> Tensor:
@@ -226,11 +205,8 @@ def clamp01(a: Tensor) -> Tensor:
 
 
 def tsum(a: Tensor) -> Tensor:
-    data = np.asarray(a.data.sum())
-
-    def back(g):
-        a._accumulate(np.broadcast_to(g, a.data.shape))
-    return _make(data, (a,), back)
+    return _make(np.asarray(a.data.sum()),
+                 (a, lambda g: np.broadcast_to(g, a.data.shape)))
 
 
 def mean_channels(a: Tensor) -> Tensor:
@@ -239,20 +215,14 @@ def mean_channels(a: Tensor) -> Tensor:
         raise ShapeMismatchError(
             f"mean_channels: expected HxWxC input, got shape {a.data.shape}")
     channels = a.data.shape[2]
-    data = _sum_last(a.data) / channels
-
-    def back(g):
-        a._accumulate(np.broadcast_to(g / channels, a.data.shape))
-    return _make(data, (a,), back)
+    return _make(_sum_last(a.data) / channels,
+                 (a, lambda g: np.broadcast_to(g / channels, a.data.shape)))
 
 
 def sqnorm(a: Tensor) -> Tensor:
     """Squared l2 norm over all entries (scalar output)."""
-    data = np.asarray(np.sum(a.data * a.data))
-
-    def back(g):
-        a._accumulate(g * 2.0 * a.data)
-    return _make(data, (a,), back)
+    return _make(np.asarray(np.sum(a.data * a.data)),
+                 (a, lambda g: g * 2.0 * a.data))
 
 
 def _pad_flat(a: np.ndarray, kshape: tuple[int, ...], op: str
@@ -325,27 +295,28 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Tensor | None = None) -> Tensor:
         acc.reshape(h, wp * cout)[...] += np.tile(bias.data, wp)
         data = np.ascontiguousarray(data)
 
-    def back(g):
-        if x.requires_grad:
-            gwide = _widen(g, wp, rows)
-            gflat = np.zeros_like(flat)
-            kt = np.ascontiguousarray(kd.transpose(0, 1, 3, 2))
-            for i, j in product(range(kh), range(kw)):
-                start = i * wp + j
-                gflat[start:start + rows] += gwide @ kt[i, j]
-            x._accumulate(gflat.reshape(-1, wp, cin)[kh // 2:kh // 2 + h,
-                                                     kw // 2:kw // 2 + w])
-        if kernel.requires_grad:
-            padded = flat.reshape(-1, wp, cin)
-            gk = np.empty_like(kd)
-            for i, j in product(range(kh), range(kw)):
-                gk[i, j] = np.tensordot(padded[i:i + h, j:j + w], g,
-                                        axes=([0, 1], [0, 1]))
-            kernel._accumulate(gk)
-        if bias is not None and bias.requires_grad:
-            bias._accumulate(g.sum(axis=(0, 1)))
-    parents = (x, kernel) if bias is None else (x, kernel, bias)
-    return _make(data, parents, back)
+    def input_vjp(g):
+        gwide = _widen(g, wp, rows)
+        gflat = np.zeros_like(flat)
+        kt = np.ascontiguousarray(kd.transpose(0, 1, 3, 2))
+        for i, j in product(range(kh), range(kw)):
+            start = i * wp + j
+            gflat[start:start + rows] += gwide @ kt[i, j]
+        return gflat.reshape(-1, wp, cin)[kh // 2:kh // 2 + h,
+                                          kw // 2:kw // 2 + w]
+
+    def kernel_vjp(g):
+        padded = flat.reshape(-1, wp, cin)
+        gk = np.empty_like(kd)
+        for i, j in product(range(kh), range(kw)):
+            gk[i, j] = np.tensordot(padded[i:i + h, j:j + w], g,
+                                    axes=([0, 1], [0, 1]))
+        return gk
+
+    rules = [(x, input_vjp), (kernel, kernel_vjp)]
+    if bias is not None:
+        rules.append((bias, lambda g: g.sum(axis=(0, 1))))
+    return _make(data, *rules)
 
 
 def blur2d(x: Tensor, kernel2d: np.ndarray) -> Tensor:
@@ -373,16 +344,17 @@ def blur2d(x: Tensor, kernel2d: np.ndarray) -> Tensor:
         acc[:rows] += scaled[tap_of[i, j]][start:start + rows]
     data = acc.reshape(h, wp, c)[:, :w]
 
-    def back(g):
+    def vjp(g):
         gwide = _widen(g, wp, rows)
         scaled_grad = [v * gwide for v in taps]
         gflat = np.zeros_like(flat)
         for i, j in product(range(kh), range(kw)):
             start = i * wp + j
             gflat[start:start + rows] += scaled_grad[tap_of[i, j]]
-        x._accumulate(gflat.reshape(-1, wp, c)[kh // 2:kh // 2 + h,
-                                               kw // 2:kw // 2 + w])
-    return _make(data, (x,), back)
+        return gflat.reshape(-1, wp, c)[kh // 2:kh // 2 + h,
+                                        kw // 2:kw // 2 + w]
+
+    return _make(data, (x, vjp))
 
 
 def box_kernel(radius: int) -> np.ndarray:

@@ -8,8 +8,9 @@ All commands are deterministic under fixed flags.
 Each flag's rule is its argparse ``type`` (:func:`at_least`,
 :func:`positive`, :func:`parse_budget`, :func:`parse_budgets`,
 :func:`parse_modes`, :func:`parse_size`), so a bad flag exits 2 while the
-arguments are parsed, before any file is read. Each input image is checked
-once, by :func:`metrics.check_scorable`, before the model loads.
+arguments are parsed, before any file is read. An output whose directory
+does not exist exits 2 before any input is read. Each input image is
+checked once, by :func:`metrics.check_scorable`, before the model loads.
 """
 
 from __future__ import annotations
@@ -141,6 +142,14 @@ def _check_scorable(image: Image, mask: ShadowMask | None, what: str) -> None:
         raise UsageError(f"{what}: {exc}") from None
 
 
+def _check_dir(flag: str, path: str) -> None:
+    """Usage error, naming `flag`, when the directory that `path` is
+    written into does not exist: the write would fail after all the work."""
+    folder = os.path.dirname(path) or os.curdir
+    if not os.path.isdir(folder):
+        raise UsageError(f"{flag} {path}: no directory {folder}")
+
+
 def _check_distinct(out: str, other: str, what: str) -> None:
     """Usage error when `other` is the same file as --out `out`: the
     command's later write would replace the earlier one."""
@@ -165,6 +174,7 @@ def cmd_gen(args) -> int:
 
 
 def cmd_attack(args) -> int:
+    _check_dir("--out-prefix", args.out_prefix)
     image = load_pnm(args.image)
     mask = load_mask(args.mask) if args.mask else None
     free = load_pnm(args.free) if args.free else None
@@ -201,6 +211,8 @@ def cmd_attack(args) -> int:
 
 def cmd_bench(args) -> int:
     plot_path = args.plot_out or os.path.splitext(args.out)[0] + ".plot"
+    _check_dir("--out", args.out)
+    _check_dir("--plot-out", plot_path)
     _check_distinct(args.out, plot_path, "plot data")
     triplets = load_triplet_dir(args.dataset)
     if not triplets:
@@ -252,6 +264,8 @@ def cmd_gradcheck(args) -> int:
 
 def cmd_train(args) -> int:
     log_path = args.loss_log or args.out + ".losslog.csv"
+    _check_dir("--out", args.out)
+    _check_dir("--loss-log", log_path)
     _check_distinct(args.out, log_path, "loss log")
     triplets = load_triplet_dir(args.dataset)
     if not triplets:

@@ -294,6 +294,23 @@ class TestFiniteDifferences:
         self.check(lambda t: ad.tsum(ad.mul(
             ad.conv2d(Tensor(x), Tensor(kern), t), probe)), bias)
 
+    def test_sub_wrt_second_operand(self):
+        rng = Xoshiro256StarStar(23)
+        x = _safe_uniform(rng, (4, 3, 2))
+        base = Tensor(_safe_uniform(rng, (4, 3, 2)))
+        probe = Tensor(rng.fill_uniform((4, 3, 2), -1.0, 1.0))
+        self.check(lambda t: ad.tsum(ad.mul(ad.sub(base, t), probe)), x)
+
+    @pytest.mark.parametrize("shape", [(1, 5, 3), (4, 1, 3)],
+                             ids=["first-axis", "middle-axis"])
+    def test_mul_broadcast_over_a_leading_axis(self, shape):
+        # the broadcast operand's share is summed over a non-last axis
+        rng = Xoshiro256StarStar(24)
+        x = _safe_uniform(rng, shape)
+        other = Tensor(_safe_uniform(rng, (4, 5, 3)))
+        self.check(lambda t: ad.sqnorm(ad.mul(t, other)), x)
+        self.check(lambda t: ad.sqnorm(ad.mul(other, t)), x)
+
     def test_blur2d(self):
         rng = Xoshiro256StarStar(12)
         x = _safe_uniform(rng, (6, 6, 2))

@@ -15,6 +15,15 @@ from shadowstorm.models import (PARAMS_MAGIC, load_params, model_tinycnn,
 from shadowstorm.synthdata import SynthConfig, gen_dataset
 
 
+def subprocess_env():
+    """The environment for a child Python that imports this package."""
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    return env
+
+
 def forbid_model_load(monkeypatch):
     def load_model(_identifier):
         pytest.fail("the model was loaded before the inputs were validated")
@@ -650,8 +659,7 @@ class TestGradcheckCommand:
         class DoubledIdentity(IdentityModel):
             """The identity, with a backward rule twice the true one."""
             def forward_t(self, x, params):
-                return autodiff._make(x.data, (x,),
-                                      lambda g: x._accumulate(2.0 * g))
+                return autodiff._make(x.data, (x, lambda g: 2.0 * g))
 
         monkeypatch.setattr(cli, "load_model", lambda _name: DoubledIdentity())
         rc = main(["gradcheck", "--model", "identity", "--inputs", "1",
@@ -772,7 +780,9 @@ class TestModelLoading:
         assert load_pnm(prefix + "_attacked.ppm").shape == (32, 32, 3)
 
     @pytest.mark.parametrize("kind", ["extra-tensor", "duplicate-name",
-                                      "trailing-bytes", "nan-value"])
+                                      "trailing-bytes", "nan-value",
+                                      "truncated-header", "version-2",
+                                      "name-overrun"])
     def test_params_file_save_params_never_writes_io_error(
             self, dataset_dir, tmp_path, kind):
         params = param_arrays(model_tinycnn(seed=6))
@@ -786,6 +796,12 @@ class TestModelLoading:
             blob += b"\x00" * 8
         elif kind == "nan-value":  # the last payload value
             blob = blob[:-8] + struct.pack("<d", np.nan)
+        elif kind == "truncated-header":
+            blob = blob[:10]
+        elif kind == "version-2":
+            blob = blob[:4] + struct.pack("<I", 2) + blob[8:]
+        elif kind == "name-overrun":  # the first name's length
+            blob = blob[:12] + struct.pack("<I", len(blob)) + blob[16:]
         (tmp_path / "m.sspm").write_bytes(blob)
         rc = main(["attack", "--mode", "uniform", "--eps", "2/255",
                    "--iters", "2", "--model", str(tmp_path / "m.sspm"),
@@ -830,20 +846,65 @@ print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
 """
 
 
+class TestModuleEntry:
+    def test_python_m_runs_main(self, tmp_path):
+        argv = ["gen", "--seed", "1", "--count", "1", "--size", "32x32"]
+        proc = subprocess.run(
+            [sys.executable, "-m", "shadowstorm", *argv,
+             "--out", str(tmp_path / "m")],
+            env=subprocess_env(), capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert main(argv + ["--out", str(tmp_path / "d")]) == 0
+        names = sorted(os.listdir(tmp_path / "d"))
+        assert names and sorted(os.listdir(tmp_path / "m")) == names
+        for name in names:
+            assert ((tmp_path / "m" / name).read_bytes()
+                    == (tmp_path / "d" / name).read_bytes())
+        proc = subprocess.run(
+            [sys.executable, "-m", "shadowstorm", "gen", "--size", "0x0",
+             "--out", str(tmp_path / "bad")],
+            env=subprocess_env(), capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 2
+        assert "--size" in proc.stderr
+        assert not os.path.exists(tmp_path / "bad")
+
+
+class TestOutputDirectory:
+    @pytest.mark.parametrize("argv,flag", [
+        (["attack", "--mode", "uniform", "--eps", "4/255", "--image",
+          "{data}/shadow_0000.ppm", "--out-prefix", "nodir/x"], "--out-prefix"),
+        (["bench", "--dataset", "{data}", "--out", "nodir/r.csv"], "--out"),
+        (["bench", "--dataset", "{data}", "--out", "r.csv",
+          "--plot-out", "nodir/r.plot"], "--plot-out"),
+        (["train", "--dataset", "{data}", "--out", "nodir/p.sspm"], "--out"),
+        (["train", "--dataset", "{data}", "--out", "p.sspm",
+          "--loss-log", "nodir/l.csv"], "--loss-log")],
+        ids=["attack-out-prefix", "bench-out", "bench-plot-out", "train-out",
+             "train-loss-log"])
+    def test_missing_directory_usage_error_before_any_input(
+            self, dataset_dir, tmp_path, monkeypatch, capsys, argv, flag):
+        def load_pnm(_path):
+            pytest.fail("an input was read before the outputs were checked")
+        forbid_model_load(monkeypatch)
+        forbid_dataset_load(monkeypatch)
+        monkeypatch.setattr(cli, "load_pnm", load_pnm)
+        monkeypatch.chdir(tmp_path)
+        rc = main([arg.format(data=dataset_dir) for arg in argv])
+        assert rc == 2
+        assert f"{flag} nodir/" in capsys.readouterr().err
+        assert os.listdir(tmp_path) == []
+
+
 class TestMemoryPolicy:
     @pytest.mark.skipif(platform.libc_ver()[0] != "glibc",
                         reason="the allocator policy is glibc's")
     def test_freed_arrays_stay_in_the_heap(self, tmp_path):
         """After one CLI command, a freed 2 MB array is reused, not
         unmapped and faulted in afresh on the next allocation."""
-        env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
-        src = os.path.dirname(os.path.dirname(cli.__file__))
-        env["PYTHONPATH"] = os.pathsep.join(
-            [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
         proc = subprocess.run([sys.executable, "-c", MEMORY_PROBE,
                                str(tmp_path / "ds")],
-                              env=env, capture_output=True, text=True,
-                              timeout=120)
+                              env=subprocess_env(), capture_output=True,
+                              text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
         assert int(proc.stdout.splitlines()[-1]) < 100
 

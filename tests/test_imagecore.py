@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from shadowstorm import bench, models
+from shadowstorm.cli import main
 from shadowstorm.imagecore import (Image, PnmError, ShadowMask, load_mask,
                                    load_pnm, mean_intensity, quantize,
                                    save_mask, save_pnm)
@@ -15,6 +16,15 @@ def write_pnm_bytes(path, magic, width, height, payload, maxval=255):
     with open(path, "wb") as fh:
         fh.write(magic + b"\n%d %d\n%d\n" % (width, height, maxval))
         fh.write(bytes(payload))
+
+
+# (file bytes, error) for each header check that a well-formed file passes
+MALFORMED_HEADERS = [
+    (b"P5\n2 ", "unexpected end of header, expected height"),
+    (b"P5\nx 1\n255\n\x00", "expected integer width, got b'x'"),
+    (b"P5\n0 1\n255\n", "non-positive dimensions 0x1"),
+    (b"P5\n1 1\n255", "missing whitespace before payload"),
+]
 
 
 class TestLoadPnm:
@@ -51,6 +61,19 @@ class TestLoadPnm:
         write_pnm_bytes(path, b"P5", 4, 4, [0] * 7)
         with pytest.raises(PnmError, match="truncated payload"):
             load_pnm(path)
+
+    @pytest.mark.parametrize("raw,match", MALFORMED_HEADERS,
+                             ids=[m.split()[0] for _, m in MALFORMED_HEADERS])
+    def test_malformed_header(self, tmp_path, capsys, raw, match):
+        path = tmp_path / "h.pgm"
+        path.write_bytes(raw)
+        with pytest.raises(PnmError, match=match):
+            load_pnm(path)
+        rc = main(["attack", "--mode", "uniform", "--eps", "0.1",
+                   "--image", str(path), "--out-prefix", str(tmp_path / "x")])
+        assert rc == 3
+        assert match in capsys.readouterr().err
+        assert os.listdir(tmp_path) == ["h.pgm"]
 
     def test_header_comments_accepted(self, tmp_path):
         path = tmp_path / "f.pgm"

@@ -217,6 +217,53 @@ class TestParameterState:
         assert not model.params["b1"].data.flags.writeable
 
 
+def tape_of(out):
+    """Every tensor reachable from `out` through its tape parents."""
+    seen, stack = {}, [out]
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen[id(node)] = node
+            stack.extend(node._parents)
+    return list(seen.values())
+
+
+class TestTape:
+    @pytest.mark.parametrize("make", [model_tinycnn, model_gainmap],
+                             ids=["tinycnn", "gainmap"])
+    def test_links_only_tensors_that_need_a_gradient(self, make):
+        model = make()
+        outputs = []
+        forward_t = model.forward_t
+
+        def capture(x, params):
+            outputs.append(forward_t(x, params))
+            return outputs[-1]
+        model.forward_t = capture
+        model.vjp(random_image(43).data)
+        tape = tape_of(outputs[0])
+        params = {id(p) for p in model.params.values()}
+        assert len(tape) > 5
+        assert all(t.requires_grad and id(t) not in params for t in tape)
+
+    def test_pullback_leaves_parameters_alone(self):
+        writes = []
+
+        class Logged(Tensor):
+            __slots__ = ()
+
+            def __setattr__(self, name, value):
+                writes.append(name)
+                super().__setattr__(name, value)
+
+        model = model_tinycnn(seed=0)
+        model.params = {n: Logged(p.data) for n, p in model.params.items()}
+        writes.clear()
+        _, pullback = model.vjp(random_image(44).data)
+        pullback(np.ones((16, 16, 3)))
+        assert writes == []
+
+
 class TestGainMapBorderWeight:
     def test_cached_read_only(self):
         from shadowstorm.models import _inverse_border_weight
@@ -356,7 +403,9 @@ class TestParamsIO:
 
     @pytest.mark.parametrize("tail,match", [
         ("duplicate", "duplicate tensor 'b1'"), ("trailing", "trailing bytes"),
-        ("nan", "'b1' holds a non-finite"), ("-inf", "'b1' holds a non-finite")])
+        ("nan", "'b1' holds a non-finite"), ("-inf", "'b1' holds a non-finite"),
+        ("header", "truncated header"), ("version", "unsupported version 2"),
+        ("name-overrun", "truncated file while reading tensor #0")])
     def test_rejects_what_save_params_never_writes(self, tmp_path, tail, match):
         path = tmp_path / "m.sspm"
         save_params({"b1": np.zeros(2)}, path)
@@ -365,6 +414,12 @@ class TestParamsIO:
             blob = blob[:8] + struct.pack("<I", 2) + blob[12:] + blob[12:]
         elif tail == "trailing":
             blob += b"\x00" * 8
+        elif tail == "header":
+            blob = blob[:10]
+        elif tail == "version":
+            blob = blob[:4] + struct.pack("<I", 2) + blob[8:]
+        elif tail == "name-overrun":  # the name's length
+            blob = blob[:12] + struct.pack("<I", len(blob)) + blob[16:]
         else:  # the last payload value
             blob = blob[:-8] + struct.pack("<d", float(tail))
         path.write_bytes(blob)
