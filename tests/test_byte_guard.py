@@ -1,11 +1,12 @@
-"""Byte identity of small gen, attack, bench and train runs.
+"""Byte identity of small gen, attack, bench, train and gradcheck runs.
 
 The bench and train digests were recorded from the code before the
 single-pass `vjp` protocol, the gen digests from the code before the
 generator's soft-mask blur moved onto `autodiff.blur2d`, the attack
 digests from the code before the channel-sum and shared-metric passes, the
 digest of a bench of a params file from the code that drew seed-0 weights
-before loading the file's; a change that moves them changes what the CLI
+before loading the file's, the gradcheck digest from the code in which
+gradcheck's finite-difference step and tolerance were flags; a change that moves them changes what the CLI
 writes and must say so. The bench CSV is hashed without its `# dataset`
 line, which holds a temporary path.
 """
@@ -59,6 +60,8 @@ TRAIN_PARAMS_DIGEST = (
     "df957daeabaf788836fe01ab0b0fccaeed3c5fe01c926f9da5a503042b9e03a2")
 TRAIN_LOSSLOG_DIGEST = (
     "6febc2ef9755366b9150589cba5999b47e42e6dfbe06c7ce97614f4acb3a300c")
+GRADCHECK_DIGEST = (
+    "6734265a58e7482d3a1bac561f7ce5189193ae25f876b372a1b515e112fa0a27")
 
 
 def sha256(data: bytes) -> str:
@@ -127,6 +130,15 @@ def test_bench_params_file_bytes(small_dataset, tmp_path):
     assert sha256(b"\n".join(lines)) == PARAMS_BENCH_DIGEST
 
 
+def test_gradcheck_report_bytes(capsys):
+    """The report of a gradcheck of the whole zoo, recorded while its
+    finite-difference step and tolerance were still flags."""
+    assert main(["gradcheck", "--model", "all", "--inputs", "1",
+                 "--size", "12x12"]) == 0
+    assert sha256(capsys.readouterr().out.encode("utf-8")) \
+        == GRADCHECK_DIGEST
+
+
 def rerun(selection, **env) -> str:
     """Run the tests that pytest's `selection` arguments pick from this
     file in a fresh process with `env` added; returns pytest's output."""
@@ -145,7 +157,7 @@ def test_digests_hold_under_blas_threads(threads):
     """The digests above, recomputed in a fresh process with OpenBLAS
     limited to `threads` threads, so each thread count writes the same
     bytes."""
-    assert "6 passed" in rerun(
+    assert "7 passed" in rerun(
         [__file__, "-k", "not blas_threads and not openblas_cores"],
         OPENBLAS_NUM_THREADS=threads)
 
