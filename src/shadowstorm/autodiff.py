@@ -261,7 +261,7 @@ def _widen(g: np.ndarray, wp: int, rows: int) -> np.ndarray:
     return wide.reshape(-1, c)[:rows]
 
 
-def conv2d(x: Tensor, kernel: Tensor, bias: Tensor | None = None) -> Tensor:
+def conv2d(x: Tensor, kernel: Tensor, bias: Tensor) -> Tensor:
     """Spatial convolution (cross-correlation), stride 1, zero padding to
     same size. x: (H, W, Cin); kernel: (kh, kw, Cin, Cout); bias: (Cout,).
 
@@ -281,7 +281,7 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Tensor | None = None) -> Tensor:
         raise ShapeMismatchError(
             f"conv2d: incompatible shapes {xd.shape} and {kd.shape}")
     kh, kw, cin, cout = kd.shape
-    if bias is not None and bias.data.shape != (cout,):
+    if bias.data.shape != (cout,):
         raise ShapeMismatchError(
             f"conv2d: bias shape {bias.data.shape} does not match {cout} outputs")
     h, w = xd.shape[0], xd.shape[1]
@@ -290,10 +290,8 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Tensor | None = None) -> Tensor:
     for i, j in product(range(kh), range(kw)):
         start = i * wp + j
         acc[:rows] += flat[start:start + rows] @ kd[i, j]
-    data = acc.reshape(h, wp, cout)[:, :w]
-    if bias is not None:
-        acc.reshape(h, wp * cout)[...] += np.tile(bias.data, wp)
-        data = np.ascontiguousarray(data)
+    acc.reshape(h, wp * cout)[...] += np.tile(bias.data, wp)
+    data = np.ascontiguousarray(acc.reshape(h, wp, cout)[:, :w])
 
     def input_vjp(g):
         gwide = _widen(g, wp, rows)
@@ -313,10 +311,8 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Tensor | None = None) -> Tensor:
                                     axes=([0, 1], [0, 1]))
         return gk
 
-    rules = [(x, input_vjp), (kernel, kernel_vjp)]
-    if bias is not None:
-        rules.append((bias, lambda g: g.sum(axis=(0, 1))))
-    return _make(data, *rules)
+    return _make(data, (x, input_vjp), (kernel, kernel_vjp),
+                 (bias, lambda g: g.sum(axis=(0, 1))))
 
 
 def blur2d(x: Tensor, kernel2d: np.ndarray) -> Tensor:
@@ -358,9 +354,15 @@ def blur2d(x: Tensor, kernel2d: np.ndarray) -> Tensor:
 
 
 def box_kernel(radius: int) -> np.ndarray:
-    """(2r+1) x (2r+1) averaging kernel."""
+    """(2r+1) x (2r+1) averaging kernel, read-only (models share it)."""
     size = 2 * radius + 1
-    return np.full((size, size), 1.0 / (size * size))
+    kernel = np.full((size, size), 1.0 / (size * size))
+    kernel.flags.writeable = False
+    return kernel
+
+
+GRAD_CHECK_STEP = 1e-4  # grad_check's finite-difference step h
+GRAD_CHECK_TOL = 1e-4  # grad_check's bound on the relative error
 
 
 @dataclass(frozen=True)
@@ -376,27 +378,28 @@ class GradCheckReport:
     max_rel_error: float
     worst_coord: tuple[int, ...]
     scale: float
-    tolerance: float
     passed: bool
     checked_count: int
     nonsmooth_count: int
 
 
-def grad_check(f: Callable[[Tensor], Tensor], x: np.ndarray,
-               h: float = 1e-4, tol: float = 1e-4) -> GradCheckReport:
+def grad_check(f: Callable[[Tensor], Tensor], x: np.ndarray
+               ) -> GradCheckReport:
     """Compare f's analytic input gradient against central differences.
 
     f maps a Tensor to a scalar Tensor and must be deterministic. Each
-    coordinate of x is displaced by +/-h and +/-h/2 for two central
-    estimates plus the corresponding one-sided slopes. Central differences
-    are a gradient oracle only where f is locally C^1, so kink-crossing
-    coordinates are excluded rather than reported as gradient defects;
-    they are recognized by either h-independent signature: the two central
-    estimates disagree, or the one-sided slope gap fails to halve under
-    step halving the way smooth curvature (gap ~ h * f'') must. On the
-    remaining coordinates the h-step estimate has to match the analytic
-    gradient within tol of the gradient scale.
+    coordinate of x is displaced by +/-h and +/-h/2, h = GRAD_CHECK_STEP,
+    for two central estimates plus the corresponding one-sided slopes.
+    Central differences are a gradient oracle only where f is locally C^1,
+    so kink-crossing coordinates are excluded rather than reported as
+    gradient defects; they are recognized by either h-independent
+    signature: the two central estimates disagree, or the one-sided slope
+    gap fails to halve under step halving the way smooth curvature
+    (gap ~ h * f'') must. On the remaining coordinates the h-step estimate
+    has to match the analytic gradient within tol = GRAD_CHECK_TOL of the
+    gradient scale.
     """
+    h, tol = GRAD_CHECK_STEP, GRAD_CHECK_TOL
     x = np.asarray(x, dtype=np.float64)
     leaf = Tensor(x.copy(), requires_grad=True)
     out = f(leaf)
@@ -442,6 +445,6 @@ def grad_check(f: Callable[[Tensor], Tensor], x: np.ndarray,
     else:
         worst, max_rel = (), 0.0
     return GradCheckReport(max_rel_error=max_rel, worst_coord=worst,
-                           scale=scale, tolerance=tol, passed=max_rel < tol,
+                           scale=scale, passed=max_rel < tol,
                            checked_count=int(smooth.sum()),
                            nonsmooth_count=int((~smooth).sum()))

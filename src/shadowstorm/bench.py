@@ -119,15 +119,13 @@ def result_row(image_id: str, epsilon_nominal: float, result: AttackResult,
 
 def evaluate_cell(model: DiffModel, image_id: str, triplet: Triplet,
                   mode: str, epsilon_nominal: float, *, anchor: Image,
-                  equalize: bool, iterations: int, step_divisor: float,
-                  seed: int) -> ResultRow:
+                  equalize: bool, iterations: int, seed: int) -> ResultRow:
     """Attack one image at one budget and measure everything; `anchor` is
     the model's clean output on the image."""
     epsilon = epsilon_nominal
     if mode == MODE_UNIFORM and equalize:
         epsilon = equivalent_uniform_budget(triplet.shadow, epsilon_nominal)
     config = AttackConfig(mode=mode, epsilon=epsilon, iterations=iterations,
-                          step_divisor=step_divisor,
                           seed=cell_seed(seed, image_id, mode, epsilon_nominal))
     result = pgd_attack(model, triplet.shadow, config, anchor=anchor)
     return result_row(image_id, epsilon_nominal, result, triplet.shadow,
@@ -145,7 +143,7 @@ class SweepFailure:
 
 def run_sweep(model: DiffModel, triplets: list[tuple[int, Triplet]],
               budgets, modes, *, equalize: bool = False, iterations: int = 20,
-              step_divisor: float = 4.0, seed: int = 0, jobs: int = 1
+              seed: int = 0, jobs: int = 1
               ) -> tuple[list[ResultRow], list[SweepFailure]]:
     """Attack every (image, mode, budget) cell; continue past failures.
 
@@ -168,8 +166,7 @@ def run_sweep(model: DiffModel, triplets: list[tuple[int, Triplet]],
             return anchor
         return evaluate_cell(model, image_id, by_id[image_id], mode, eps,
                              anchor=anchor, equalize=equalize,
-                             iterations=iterations, step_divisor=step_divisor,
-                             seed=seed)
+                             iterations=iterations, seed=seed)
 
     rows: list[ResultRow] = []
     failures: list[SweepFailure] = []

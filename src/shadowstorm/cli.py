@@ -7,10 +7,11 @@ All commands are deterministic under fixed flags.
 
 Each flag's rule is its argparse ``type`` (:func:`at_least`,
 :func:`positive`, :func:`parse_budget`, :func:`parse_budgets`,
-:func:`parse_modes`, :func:`parse_size`), so a bad flag exits 2 while the
-arguments are parsed, before any file is read. An output whose directory
-does not exist exits 2 before any input is read. Each input image is
-checked once, by :func:`metrics.check_scorable`, before the model loads.
+:func:`parse_modes`, :func:`parse_size`), so a bad flag, like an
+abbreviated or retired one, exits 2 while the arguments are parsed, before
+any file is read. An output whose directory does not exist exits 2 before
+any input is read. Each input image is checked once, by
+:func:`metrics.check_scorable`, before the model loads.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import sys
 
 import numpy as np
 
-from . import bench, metrics
+from . import autodiff, bench, metrics
 from .attack import MODES, AttackConfig, pgd_attack
 from .imagecore import (Image, PnmError, ShadowMask, load_mask, load_pnm,
                         save_pnm, write_atomic)
@@ -184,8 +185,7 @@ def cmd_attack(args) -> int:
         raise UsageError(f"--free image has shape {free.shape}, "
                          f"image has {image.shape}")
     config = AttackConfig(mode=args.mode, epsilon=args.eps,
-                          iterations=args.iters, step_divisor=args.step_div,
-                          seed=args.seed)
+                          iterations=args.iters, seed=args.seed)
     model = load_model(args.model)
     result = pgd_attack(model, image, config)
 
@@ -222,8 +222,7 @@ def cmd_bench(args) -> int:
     model = load_model(args.model)
     rows, failures = bench.run_sweep(
         model, triplets, args.budgets, args.modes, equalize=args.equalize,
-        iterations=args.iters, step_divisor=args.step_div, seed=args.seed,
-        jobs=args.jobs)
+        iterations=args.iters, seed=args.seed, jobs=args.jobs)
     comments = (f"# model {model.name}", f"# dataset {args.dataset}",
                 f"# equalize {int(args.equalize)}")
     bench.write_csv(args.out, rows, failures, extra_comments=comments)
@@ -242,7 +241,7 @@ def cmd_gradcheck(args) -> int:
     for mi, name in enumerate(names):
         reports, redrawn = probe_gradients(
             load_model(name), derive_seed(args.seed, mi), args.inputs,
-            (*args.size, 3), args.h, args.tol)
+            (*args.size, 3))
         for report in reports:
             if not report.passed and (worst is None
                                       or report.max_rel_error > worst.max_rel_error):
@@ -252,8 +251,8 @@ def cmd_gradcheck(args) -> int:
                             "probes after redraws")
         model_worst = max((r.max_rel_error for r in reports), default=0.0)
         note = f", {redrawn} kink-seated draws redrawn" if redrawn else ""
-        print(f"{name}: max relative error {model_worst:.3e} "
-              f"over {len(reports)} inputs (tol {args.tol:g}){note}")
+        print(f"{name}: max relative error {model_worst:.3e} over "
+              f"{len(reports)} inputs (tol {autodiff.GRAD_CHECK_TOL:g}){note}")
     if worst is not None:
         failures.append(f"{worst_name} gradient mismatch {worst.max_rel_error:.3e} "
                         f"at coordinate {worst.worst_coord}")
@@ -286,24 +285,27 @@ def cmd_train(args) -> int:
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
-        prog="shadowstorm",
+        prog="shadowstorm", allow_abbrev=False,
         description="Adversarial attacks and evaluation for shadow-removal models")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("gen", help="generate a synthetic triplet dataset")
+    def command(name, func, summary):
+        p = sub.add_parser(name, help=summary, allow_abbrev=False)
+        p.set_defaults(func=func)
+        return p
+
+    p = command("gen", cmd_gen, "generate a synthetic triplet dataset")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--count", type=int, default=8)
     p.add_argument("--size", type=parse_size, default=(64, 64),
                    help="HxW, e.g. 64x64")
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_gen)
 
-    p = sub.add_parser("attack", help="attack a single image")
+    p = command("attack", cmd_attack, "attack a single image")
     p.add_argument("--mode", choices=MODES, required=True)
     p.add_argument("--eps", type=parse_budget, required=True,
                    help="budget, e.g. 16/255 or 0.0627")
     p.add_argument("--iters", type=at_least(1), default=20)
-    p.add_argument("--step-div", type=positive, default=4.0)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--model", default="gainmap")
     p.add_argument("--image", required=True)
@@ -311,9 +313,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--free", default=None,
                    help="optional ground-truth shadow-free image")
     p.add_argument("--out-prefix", required=True)
-    p.set_defaults(func=cmd_attack)
 
-    p = sub.add_parser("bench", help="sweep attacks over a dataset")
+    p = command("bench", cmd_bench, "sweep attacks over a dataset")
     p.add_argument("--dataset", required=True)
     p.add_argument("--model", default="gainmap")
     p.add_argument("--budgets", type=parse_budgets,
@@ -322,31 +323,25 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--equalize", action="store_true",
                    help="per-image uniform budget = eps * mean intensity")
     p.add_argument("--iters", type=at_least(1), default=20)
-    p.add_argument("--step-div", type=positive, default=4.0)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--jobs", type=at_least(1), default=1)
     p.add_argument("--out", required=True)
     p.add_argument("--plot-out", default=None)
-    p.set_defaults(func=cmd_bench)
 
-    p = sub.add_parser("gradcheck", help="finite-difference check of the zoo")
+    p = command("gradcheck", cmd_gradcheck, "finite-difference check of the zoo")
     p.add_argument("--model", default="all",
                    help="all, a zoo name, or a parameter file")
     p.add_argument("--inputs", type=at_least(1), default=3)
     p.add_argument("--size", type=parse_size, default=(16, 16))
-    p.add_argument("--h", type=positive, default=1e-4)
-    p.add_argument("--tol", type=positive, default=1e-4)
     p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=cmd_gradcheck)
 
-    p = sub.add_parser("train", help="train the tiny CNN on a triplet dataset")
+    p = command("train", cmd_train, "train the tiny CNN on a triplet dataset")
     p.add_argument("--dataset", required=True)
     p.add_argument("--epochs", type=at_least(0), default=100)
     p.add_argument("--lr", type=positive, default=0.05)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
     p.add_argument("--loss-log", default=None)
-    p.set_defaults(func=cmd_train)
 
     return parser
 

@@ -110,7 +110,9 @@ def region_psnr(x: Image, y: Image, mask: ShadowMask
 def _gaussian_1d() -> np.ndarray:
     offsets = np.arange(SSIM_WINDOW, dtype=np.float64) - (SSIM_WINDOW - 1) / 2.0
     g = np.exp(-(offsets ** 2) / (2.0 * SSIM_SIGMA ** 2))
-    return g / g.sum()
+    g /= g.sum()
+    g.flags.writeable = False  # every bench --jobs thread reads it
+    return g
 
 
 _SSIM_TAP = _gaussian_1d()

@@ -206,7 +206,7 @@ def model_tinycnn_from_params(params: Mapping[str, np.ndarray]) -> TinyCnnModel:
 
 
 def probe_gradients(model: TapeModel, seed: int, inputs: int,
-                    shape: tuple[int, ...], h: float, tol: float
+                    shape: tuple[int, ...]
                     ) -> tuple[list[ad.GradCheckReport], int]:
     """Finite-difference check of the model's input gradient on `inputs`
     random probes, each an input in [0.2, 0.8] and a cotangent in [-1, 1]
@@ -227,7 +227,7 @@ def probe_gradients(model: TapeModel, seed: int, inputs: int,
         cot = Tensor(rng.fill_uniform(shape, -1.0, 1.0))
         report = ad.grad_check(
             lambda t: ad.tsum(ad.mul(model.forward_t(t, model.params), cot)),
-            x, h=h, tol=tol)
+            x)
         if report.checked_count < 0.95 * x.size:
             redraws += 1
         else:

@@ -13,7 +13,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from shadowstorm import bench, metrics, models, synthdata
+from shadowstorm import autodiff, bench, metrics, models, synthdata
 from shadowstorm.attack import (AttackConfig, budget_box,
                                 equivalent_uniform_budget, init_delta,
                                 pgd_attack, verify_l1_bound)
@@ -181,12 +181,13 @@ def test_criterion_04_gradient_fidelity():
     are then not a gradient oracle at all); such draws are redrawn, and a
     valid probe must still have >= 95% of its coordinates away from kinks.
     """
+    assert (autodiff.GRAD_CHECK_STEP, autodiff.GRAD_CHECK_TOL) == (1e-4, 1e-4)
     started = time.time()
     worst_overall = 0.0
     redraws = 0
     for mi, model in enumerate(zoo_for_audit()):
         reports, model_redraws = models.probe_gradients(
-            model, derive_seed(0, mi), 20, (16, 16, 3), 1e-4, 1e-4)
+            model, derive_seed(0, mi), 20, (16, 16, 3))
         # 20 valid probes within 25 attempts
         assert model_redraws <= 5, f"{model.name}: too many degenerate draws"
         assert len(reports) == 20, model.name

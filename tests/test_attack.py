@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from shadowstorm import attack
 from shadowstorm.attack import (AttackConfig, BudgetBox, NonFiniteGradientError,
                                 _step_size, budget_box,
                                 equivalent_uniform_budget, init_delta,
@@ -63,7 +64,7 @@ class TestBudgetBox:
 
 
 BLACK = Image(np.zeros((2, 2, 1)))
-ADAPTIVE = AttackConfig(mode="adaptive", epsilon=0.5, step_divisor=4.0)
+ADAPTIVE = AttackConfig(mode="adaptive", epsilon=0.5)
 SMALL_DELTA = np.full((2, 2, 1), 0.25)
 
 
@@ -93,9 +94,6 @@ class TestAttackConfig:
             AttackConfig(mode="chaotic", epsilon=0.1)
         with pytest.raises(ValueError, match="iterations"):
             AttackConfig(mode="uniform", epsilon=0.1, iterations=0)
-        for divisor in (0.0, -1.0, float("nan"), float("inf")):
-            with pytest.raises(ValueError, match="step_divisor"):
-                AttackConfig(mode="uniform", epsilon=0.1, step_divisor=divisor)
 
 
 class TestInitDelta:
@@ -145,10 +143,11 @@ class TestPgdAttackIdentity:
         moving = delta0 != 0.0
         assert np.all(np.abs(result.perturbation[moving]) == 0.1)
 
-    def test_single_huge_step_saturates(self):
+    def test_single_huge_step_saturates(self, monkeypatch):
+        monkeypatch.setattr(attack, "STEP_DIVISOR", 0.01)
         img = interior_image(7, shape=(5, 5, 3))
         config = AttackConfig(mode="uniform", epsilon=0.05, iterations=1,
-                              step_divisor=0.01, seed=5)
+                              seed=5)
         result = pgd_attack(model_identity(), img, config)
         delta0 = init_delta(budget_box(img, config), seed=5)
         signs = np.sign(delta0)

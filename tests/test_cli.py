@@ -1,3 +1,4 @@
+import argparse
 import os
 import platform
 import struct
@@ -107,9 +108,13 @@ class TestParsers:
         ("attack", ["--floor", "2/255"]), ("bench", ["--floor", "2/255"]),
         ("bench", ["--timing"]), ("gen", ["--k-min", "0.3"]),
         ("gen", ["--k-max", "0.9"]), ("gen", ["--area-min", "0.2"]),
-        ("gen", ["--area-max", "0.5"]), ("gen", ["--blur-radius", "3"])],
+        ("gen", ["--area-max", "0.5"]), ("gen", ["--blur-radius", "3"]),
+        ("attack", ["--step-div", "nan"]), ("bench", ["--step-div", "-1"]),
+        ("gradcheck", ["--h", "inf"]), ("gradcheck", ["--tol", "0"])],
         ids=["attack-floor", "bench-floor", "bench-timing", "gen-k-min",
-             "gen-k-max", "gen-area-min", "gen-area-max", "gen-blur-radius"])
+             "gen-k-max", "gen-area-min", "gen-area-max", "gen-blur-radius",
+             "attack-step-div", "bench-step-div", "gradcheck-h",
+             "gradcheck-tol"])
     def test_retired_flag_usage_error(self, dataset_dir, tmp_path, capsys,
                                       command, retired):
         # a script that still passes one must fail, not run another setup
@@ -118,19 +123,52 @@ class TestParsers:
                            "--out-prefix", str(tmp_path / "x")],
                 "bench": ["bench", "--dataset", str(dataset_dir),
                           "--out", str(tmp_path / "r.csv")],
-                "gen": ["gen", "--out", str(tmp_path / "data")]}[command]
+                "gen": ["gen", "--out", str(tmp_path / "data")],
+                "gradcheck": ["gradcheck", "--model", "identity",
+                              "--inputs", "1", "--size", "4x4"]}[command]
         assert main(argv + retired) == 2
         assert retired[0] in capsys.readouterr().err
         assert os.listdir(tmp_path) == []
 
+    def test_flag_ledger(self, dataset_dir, tmp_path, capsys):
+        """Every settable CLI value, by subcommand: adding or reviving a
+        flag means editing this table. Flags are taken by full name only."""
+        ledger = {
+            "gen": {"--seed", "--count", "--size", "--out"},
+            "attack": {"--mode", "--eps", "--iters", "--seed", "--model",
+                       "--image", "--mask", "--free", "--out-prefix"},
+            "bench": {"--dataset", "--model", "--budgets", "--modes",
+                      "--equalize", "--iters", "--seed", "--jobs", "--out",
+                      "--plot-out"},
+            "gradcheck": {"--model", "--inputs", "--size", "--seed"},
+            "train": {"--dataset", "--epochs", "--lr", "--seed", "--out",
+                      "--loss-log"},
+        }
+        assert sum(map(len, ledger.values())) == 33
+        parser = cli.build_parser()
+        (commands,) = [action for action in parser._actions
+                       if isinstance(action, argparse._SubParsersAction)]
+        found = {name: {flag for action in sub._actions
+                        for flag in action.option_strings}
+                 for name, sub in commands.choices.items()}
+        assert found == {name: flags | {"-h", "--help"}
+                         for name, flags in ledger.items()}
+        assert {flag for action in parser._actions
+                for flag in action.option_strings} == {"-h", "--help"}
+
+        assert main(["attack", "--mode", "adaptive", "--eps", "2/255",
+                     "--it", "5",
+                     "--image", str(dataset_dir / "shadow_0000.ppm"),
+                     "--out-prefix", str(tmp_path / "x")]) == 2
+        assert "--it" in capsys.readouterr().err
+        assert os.listdir(tmp_path) == []
+
     @pytest.mark.parametrize("command,flag,value", [
         ("attack", "--mode", "bogus"), ("attack", "--eps", "0"),
-        ("attack", "--iters", "0"), ("attack", "--step-div", "nan"),
+        ("attack", "--iters", "0"),
         ("bench", "--budgets", "2/255,1/255"), ("bench", "--modes", "bogus"),
-        ("bench", "--iters", "0"), ("bench", "--step-div", "-1"),
-        ("bench", "--jobs", "0"),
+        ("bench", "--iters", "0"), ("bench", "--jobs", "0"),
         ("gradcheck", "--inputs", "0"), ("gradcheck", "--size", "0x0"),
-        ("gradcheck", "--h", "inf"), ("gradcheck", "--tol", "0"),
         ("train", "--epochs", "-1"), ("train", "--lr", "0")])
     def test_bad_flag_fails_while_parsing(self, dataset_dir, tmp_path,
                                           monkeypatch, capsys, command, flag,
@@ -258,6 +296,7 @@ class TestAttack:
     @pytest.mark.parametrize("value", ["0", "-1", "nan", "inf"])
     def test_bad_step_div_usage_error_before_any_work(
             self, dataset_dir, tmp_path, monkeypatch, capsys, value):
+        # --step-div is retired: these values, like any other, exit 2
         out = tmp_path / "out"
         out.mkdir()
         forbid_attack(monkeypatch)
@@ -516,6 +555,7 @@ class TestBench:
     @pytest.mark.parametrize("value", ["0", "-1", "nan", "inf"])
     def test_bad_step_div_usage_error_before_any_write(
             self, dataset_dir, tmp_path, monkeypatch, capsys, value):
+        # --step-div is retired: these values, like any other, exit 2
         forbid_model_load(monkeypatch)
         rc = main(["bench", "--dataset", str(dataset_dir), "--step-div", value,
                    "--out", str(tmp_path / "x.csv")])
@@ -647,6 +687,7 @@ class TestGradcheckCommand:
         ("--tol", "0"), ("--tol", "-1"), ("--tol", "nan"), ("--tol", "inf")])
     def test_nothing_checkable_usage_error_before_model_load(
             self, monkeypatch, capsys, flag, value):
+        # --h and --tol are retired: these values, like any other, exit 2
         forbid_model_load(monkeypatch)
         assert main(["gradcheck", "--model", "identity", flag, value]) == 2
         assert flag in capsys.readouterr().err
@@ -669,11 +710,14 @@ class TestGradcheckCommand:
         assert "identity gradient mismatch 5.000e-01 at coordinate (" in err
         assert "np.int64" not in out + err
 
-    def test_too_few_valid_probes_is_validation_failure(self, capsys):
+    def test_too_few_valid_probes_is_validation_failure(self, monkeypatch,
+                                                        capsys):
         # a tolerance far below float noise seats every coordinate on a
         # "kink", so every draw is redrawn and no probe is kept
+        from shadowstorm import autodiff
+        monkeypatch.setattr(autodiff, "GRAD_CHECK_TOL", 1e-300)
         rc = main(["gradcheck", "--model", "identity", "--inputs", "1",
-                   "--size", "4x4", "--tol", "1e-300"])
+                   "--size", "4x4"])
         assert rc == 5
         assert "identity kept 0 of 1" in capsys.readouterr().err
 

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from shadowstorm import autodiff as ad
+from shadowstorm import metrics, models
 from shadowstorm.autodiff import Tensor
 from shadowstorm.imagecore import Image
 from shadowstorm.models import (DivergenceError, ParamsError, TapeModel,
@@ -26,9 +27,9 @@ def param_arrays(model):
     return {name: p.data.copy() for name, p in model.params.items()}
 
 
-def probe_grad_check(model, seed, shape=(16, 16, 3), tol=1e-4):
+def probe_grad_check(model, seed, shape=(16, 16, 3)):
     """FD check of the model's input gradient through one linear probe."""
-    reports, _ = probe_gradients(model, seed, 1, shape, 1e-4, tol)
+    reports, _ = probe_gradients(model, seed, 1, shape)
     return reports[0]
 
 
@@ -215,6 +216,26 @@ class TestParameterState:
         source["b1"][0] = 9.0
         assert model.params["b1"].data[0] != 9.0
         assert not model.params["b1"].data.flags.writeable
+
+    @pytest.mark.parametrize("make", [model_identity, model_gainmap,
+                                      model_tinycnn])
+    def test_model_arrays_read_only(self, make):
+        """bench --jobs N threads share a model: none of its arrays, and
+        none of its parameters', may be written."""
+        model = make()
+        arrays = [value for value in vars(model).values()
+                  if isinstance(value, np.ndarray)]
+        arrays += [p.data for p in model.params.values()]
+        assert all(not a.flags.writeable for a in arrays)
+
+    @pytest.mark.parametrize("module", [ad, metrics, models],
+                             ids=["autodiff", "metrics", "models"])
+    def test_module_arrays_read_only(self, module):
+        """Every thread reads a module-level array; none may be written."""
+        arrays = {name: value for name, value in vars(module).items()
+                  if isinstance(value, np.ndarray)}
+        assert [name for name, a in arrays.items()
+                if a.flags.writeable] == []
 
 
 def tape_of(out):
