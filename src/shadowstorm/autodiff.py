@@ -275,7 +275,8 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Tensor) -> Tensor:
     OpenBLAS's SkylakeX core runs on its small-matrix kernel, with the bits
     of the transposed view except on 1 x 1 inputs (a matrix-vector product;
     no CLI command runs one, SSIM needs 11 x 11).
-    The kernel and bias VJPs reduce over the H * W window positions only."""
+    The kernel VJP takes per tap a (Cin, H * W) window of one channel-major
+    padded copy @ the (H * W, Cout) cotangent: tensordot's GEMM and bits."""
     xd, kd = x.data, kernel.data
     if xd.ndim != 3 or kd.ndim != 4 or xd.shape[2] != kd.shape[2]:
         raise ShapeMismatchError(
@@ -304,11 +305,11 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Tensor) -> Tensor:
                                           kw // 2:kw // 2 + w]
 
     def kernel_vjp(g):
-        padded = flat.reshape(-1, wp, cin)
-        gk = np.empty_like(kd)
+        planes = np.ascontiguousarray(flat.T).reshape(cin, -1, wp)
+        gcols, gk = g.reshape(h * w, cout), np.empty_like(kd)
         for i, j in product(range(kh), range(kw)):
-            gk[i, j] = np.tensordot(padded[i:i + h, j:j + w], g,
-                                    axes=([0, 1], [0, 1]))
+            window = planes[:, i:i + h, j:j + w].reshape(cin, h * w)
+            gk[i, j] = np.dot(window, gcols)
         return gk
 
     return _make(data, (x, input_vjp), (kernel, kernel_vjp),

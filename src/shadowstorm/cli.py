@@ -287,7 +287,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="shadowstorm", allow_abbrev=False,
         description="Adversarial attacks and evaluation for shadow-removal models")
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command")
 
     def command(name, func, summary):
         p = sub.add_parser(name, help=summary, allow_abbrev=False)
@@ -368,7 +368,9 @@ def main(argv=None) -> int:
     _retain_freed_memory()
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(argv)  # unknown flags first
+        if args.command is None:
+            parser.error("the following arguments are required: command")
     except SystemExit as exc:
         return exc.code if exc.code is not None else EXIT_USAGE
     try:

@@ -129,39 +129,56 @@ def per_tap_conv(x, kernel, bias, cotangent):
             cotangent.sum(axis=(0, 1)))
 
 
+def conv2d_case(h, w, cin, cout, kh, kw, with_bias):
+    """conv2d's output and leaf gradients on seeded data, each paired with
+    per_tap_conv's: (output, input, kernel, bias)."""
+    rng = Xoshiro256StarStar(22)
+    x = rng.fill_uniform((h, w, cin), -1.0, 1.0)
+    kernel = rng.fill_uniform((kh, kw, cin, cout), -1.0, 1.0)
+    bias = rng.fill_uniform((cout,), -1.0, 1.0) if with_bias else None
+    cotangent = rng.fill_uniform((h, w, cout), -1.0, 1.0)
+    cotangent[:(h + 1) // 2, :(w + 1) // 2] = 0.0
+    leaf = Tensor(x, requires_grad=True)
+    kt = Tensor(kernel, requires_grad=True)
+    bt = Tensor(bias if with_bias else np.zeros(cout), requires_grad=True)
+    out = ad.conv2d(leaf, kt, bt)
+    out.backward(cotangent)
+    got = (out.data, leaf.grad, kt.grad, bt.grad)
+    return list(zip(got, per_tap_conv(x, kernel, bias, cotangent)))
+
+
+# Cin = 1 puts the input VJP on BLAS's matrix-vector kernel, whose
+# rounding follows a row's position in its block (see conv2d): the 7x9x1
+# case matches the per-tap loop, but 8x8x1 -> 8 with a 3x3 kernel does
+# not, in the input VJP only. No zoo layer has Cin = 1.
+# Without a bias the reference adds none and conv2d gets a zero one:
+# the bits agree, as an accumulator that starts at +0.0 never holds -0.0.
+CONV2D_CASES = [
+    (9, 7, 3, 8, 3, 3, True), (5, 12, 8, 3, 5, 3, False),
+    (6, 4, 1, 2, 1, 1, True), (7, 9, 1, 8, 3, 3, True),
+    (1, 1, 3, 8, 3, 3, True),
+    (64, 64, 8, 8, 3, 3, True),
+    # the zoo's tinycnn layers on a 64x64 image, and an odd size
+    (64, 64, 3, 8, 3, 3, True), (64, 64, 8, 3, 3, 3, True),
+    (13, 17, 8, 8, 3, 3, False)]
+
+
 class TestConv2dBytes:
-    # Cin = 1 puts the input VJP on BLAS's matrix-vector kernel, whose
-    # rounding follows a row's position in its block (see conv2d): the
-    # 7x9x1 case matches the per-tap loop, but 8x8x1 -> 8 with a 3x3
-    # kernel does not, in the input VJP only. No zoo layer has Cin = 1.
-    # Without a bias the reference adds none and conv2d gets a zero one:
-    # the bits agree, as an accumulator that starts at +0.0 never holds -0.0.
-    @pytest.mark.parametrize("h,w,cin,cout,kh,kw,with_bias", [
-        (9, 7, 3, 8, 3, 3, True), (5, 12, 8, 3, 5, 3, False),
-        (6, 4, 1, 2, 1, 1, True), (7, 9, 1, 8, 3, 3, True),
-        (1, 1, 3, 8, 3, 3, True),
-        (64, 64, 8, 8, 3, 3, True),
-        # the zoo's tinycnn layers on a 64x64 image, and an odd size
-        (64, 64, 3, 8, 3, 3, True), (64, 64, 8, 3, 3, 3, True),
-        (13, 17, 8, 8, 3, 3, False)])
+    @pytest.mark.parametrize("h,w,cin,cout,kh,kw,with_bias", CONV2D_CASES)
     def test_matches_per_tap_loop(self, h, w, cin, cout, kh, kw, with_bias):
-        rng = Xoshiro256StarStar(22)
-        x = rng.fill_uniform((h, w, cin), -1.0, 1.0)
-        kernel = rng.fill_uniform((kh, kw, cin, cout), -1.0, 1.0)
-        bias = rng.fill_uniform((cout,), -1.0, 1.0) if with_bias else None
-        cotangent = rng.fill_uniform((h, w, cout), -1.0, 1.0)
-        cotangent[:(h + 1) // 2, :(w + 1) // 2] = 0.0
-        leaf = Tensor(x, requires_grad=True)
-        kt = Tensor(kernel, requires_grad=True)
-        bt = Tensor(bias if with_bias else np.zeros(cout), requires_grad=True)
-        out = ad.conv2d(leaf, kt, bt)
-        out.backward(cotangent)
-        ref_out, ref_grad, ref_gk, ref_gb = per_tap_conv(
-            x, kernel, bias, cotangent)
-        assert out.data.tobytes() == ref_out.tobytes()
-        assert leaf.grad.tobytes() == ref_grad.tobytes()
-        assert kt.grad.tobytes() == ref_gk.tobytes()
-        assert bt.grad.tobytes() == ref_gb.tobytes()
+        pairs = conv2d_case(h, w, cin, cout, kh, kw, with_bias)
+        for name, (got, ref) in zip(("out", "x", "kernel", "bias"), pairs):
+            assert got.tobytes() == ref.tobytes(), name
+
+    # With one output column, conv2d's and the loop's kernel-gradient GEMMs
+    # both take the matrix-vector kernel; that case's forward differs from
+    # the loop's. test_byte_guard.py reruns this test under three cores.
+    @pytest.mark.parametrize("h,w,cin,cout,kh,kw,with_bias",
+                             CONV2D_CASES + [(8, 8, 8, 1, 3, 3, True)])
+    def test_kernel_grad_matches_per_tap_loop(self, h, w, cin, cout, kh, kw,
+                                              with_bias):
+        got, ref = conv2d_case(h, w, cin, cout, kh, kw, with_bias)[2]
+        assert got.tobytes() == ref.tobytes()
 
 
 class TestChannelSumBytes:

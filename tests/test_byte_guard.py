@@ -140,8 +140,8 @@ def test_gradcheck_report_bytes(capsys):
 
 
 def rerun(selection, **env) -> str:
-    """Run the tests that pytest's `selection` arguments pick from this
-    file in a fresh process with `env` added; returns pytest's output."""
+    """Run the tests that pytest's `selection` arguments pick in a fresh
+    process with `env` added; returns pytest's output."""
     proc = subprocess.run(
         [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
          *selection],
@@ -170,3 +170,15 @@ def test_gen_bytes_hold_under_openblas_cores(core):
     filter and conv2d's kernel VJP round differently under the others."""
     assert "1 passed" in rerun([f"{__file__}::test_gen_bytes"],
                                OPENBLAS_CORETYPE=core)
+
+
+@pytest.mark.parametrize("core", ["SkylakeX", "Haswell", "Prescott"])
+def test_conv2d_kernel_grad_holds_under_openblas_cores(core):
+    """conv2d's kernel gradient, recomputed in a fresh process under the
+    `core` kernels, has the bits of a per-tap tensordot under that core.
+    Its forward and input VJP do not on every core (see conv2d)."""
+    tests = os.path.dirname(os.path.abspath(__file__))
+    assert "10 passed" in rerun(
+        [os.path.join(tests, "test_autodiff.py"),
+         "-k", "test_kernel_grad_matches_per_tap_loop"],
+        OPENBLAS_CORETYPE=core)

@@ -104,6 +104,18 @@ class TestParsers:
         assert rc == 2
         assert "--size" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv,message", [
+        (["--he"], "unrecognized arguments: --he"),
+        (["gradcheck", "--he"], "unrecognized arguments: --he"),
+        ([], "the following arguments are required: command")],
+        ids=["flag-before-command", "flag-after-command", "no-command"])
+    def test_unknown_flag_or_no_command_usage_error(
+            self, monkeypatch, capsys, argv, message):
+        forbid_model_load(monkeypatch)
+        forbid_dataset_load(monkeypatch)
+        assert main(argv) == 2
+        assert message in capsys.readouterr().err
+
     @pytest.mark.parametrize("command,retired", [
         ("attack", ["--floor", "2/255"]), ("bench", ["--floor", "2/255"]),
         ("bench", ["--timing"]), ("gen", ["--k-min", "0.3"]),
