@@ -30,7 +30,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
-from typing import Callable
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -225,52 +225,58 @@ def sqnorm(a: Tensor) -> Tensor:
                  (a, lambda g: g * 2.0 * a.data))
 
 
-def _pad_flat(a: np.ndarray, kshape: tuple[int, ...], op: str
-              ) -> tuple[np.ndarray, int, int]:
-    """The tap layout of conv2d and blur2d. Returns (flat, wp, rows): the
-    (H, W, C) array `a` zero-padded to same size for the odd kernel dims
-    (kh, kw) = kshape[:2], as one C-ordered ((H + kh - 1) * wp, C) list of
-    pixels, wp = W + kw - 1.
+def _shift_add(a: np.ndarray, kshape: tuple[int, ...], cout: int,
+               terms: Callable[[np.ndarray], Iterable[np.ndarray]],
+               adjoint: bool, op: str) -> np.ndarray:
+    """The one tap kernel of conv2d and blur2d, forward and VJP.
 
-    Tap (i, j) sees all outputs as one contiguous block of that list,
-    flat[i * wp + j:][:rows] with rows = (H - 1) * wp + W, so a tap reads
-    no slice copy. The block runs in rows of width wp; the kw - 1 extra
-    columns per output row are computed and dropped, and a VJP scatters its
-    cotangent at the same offsets, widened by zero columns (_widen). The
-    bits are those of a per-tap loop over (H, W) windows: each output gets
-    the same products, added into a +0.0 accumulator in row-major tap
-    order, and the zero columns add only +-0.0, which changes no
-    accumulator."""
+    The (H, W, C) operand `a` is widened once into a C-ordered block of
+    rows = (H - 1) * wp + W pixels, rows of width wp = W + kw - 1 with zero
+    extra columns, for the odd kernel dims (kh, kw) = kshape[:2].
+    terms(block) gives each tap's (rows, cout) product with that block, in
+    row-major tap order. Each is added at its offset into one +0.0
+    accumulator over the zero-padded (H + kh - 1, wp, cout) output, whose
+    (H, W) interior is returned as a view. The forward adds tap (i, j) at
+    the mirrored offset (kh-1-i) * wp + kw-1-j, so output pixel (y, x)
+    gets a[y+i-kh//2, x+j-kw//2]'s share; a VJP adds it at i * wp + j.
+
+    The bits are those of a per-tap loop over (H, W) windows: each output
+    gets the same products, added in row-major tap order, and the zero
+    columns and padding add only +-0.0, which changes no accumulator that
+    starts at +0.0. Every tap multiplies the same block: OpenBLAS's
+    matrix-vector kernel (one output column) rounds a block's last
+    rows mod 4 rows differently, so a block that moved with the tap would
+    send other rows down that tail."""
     kh, kw = kshape[0], kshape[1]
     if kh % 2 == 0 or kw % 2 == 0:
         raise ShapeMismatchError(
             f"{op}: kernel dims must be odd for same padding, got {kshape}")
     h, w, c = a.shape
     wp = w + kw - 1
-    padded = np.zeros((h + kh - 1, wp, c))
-    padded[kh // 2:kh // 2 + h, kw // 2:kw // 2 + w] = a
-    return padded.reshape(-1, c), wp, (h - 1) * wp + w
-
-
-def _widen(g: np.ndarray, wp: int, rows: int) -> np.ndarray:
-    """An (H, W, C) cotangent as one tap block of _pad_flat's layout: rows
-    of width wp, zero in the wp - W extra columns."""
-    h, w, c = g.shape
+    rows = (h - 1) * wp + w
     wide = np.zeros((h, wp, c))
-    wide[:, :w] = g
-    return wide.reshape(-1, c)[:rows]
+    wide[:, :w] = a
+    acc = np.zeros(((h + kh - 1) * wp, cout))
+    taps = product(range(kh), range(kw))
+    for (i, j), term in zip(taps, terms(wide.reshape(-1, c)[:rows])):
+        start = i * wp + j if adjoint else (kh - 1 - i) * wp + kw - 1 - j
+        acc[start:start + rows] += term
+    return acc.reshape(h + kh - 1, wp, cout)[kh // 2:kh // 2 + h,
+                                            kw // 2:kw // 2 + w]
 
 
 def conv2d(x: Tensor, kernel: Tensor, bias: Tensor) -> Tensor:
     """Spatial convolution (cross-correlation), stride 1, zero padding to
     same size. x: (H, W, Cin); kernel: (kh, kw, Cin, Cout); bias: (Cout,).
 
-    Forward and input VJP take one matrix product per tap block (see
-    _pad_flat). Their bits match a product per tap window only while BLAS
-    rounds a Cin-long (Cout-long in the input VJP) dot product the same
-    whatever the length of its block; OpenBLAS does for the zoo's layers,
-    but a single output column (Cout = 1, or Cin = 1 in the input VJP)
-    takes a matrix-vector kernel whose rounding follows the row's position.
+    Forward and input VJP take one matrix product per tap with one block
+    (see _shift_add). Their bits match a product per tap window only while
+    BLAS rounds a Cin-long (Cout-long in the input VJP) dot product the
+    same wherever its row sits in the block; OpenBLAS's SkylakeX core does
+    for the zoo's layers, but a single output column (Cout = 1, or Cin = 1
+    in the input VJP) takes its matrix-vector kernel, which rounds the
+    block's last rows mod 4 rows differently. The bias is added after
+    every tap.
     The input VJP takes a C-contiguous copy of the transposed kernel, which
     OpenBLAS's SkylakeX core runs on its small-matrix kernel, with the bits
     of the transposed view except on 1 x 1 inputs (a matrix-vector product;
@@ -286,26 +292,18 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Tensor) -> Tensor:
         raise ShapeMismatchError(
             f"conv2d: bias shape {bias.data.shape} does not match {cout} outputs")
     h, w = xd.shape[0], xd.shape[1]
-    flat, wp, rows = _pad_flat(xd, kd.shape, "conv2d")
-    acc = np.zeros((h * wp, cout))
-    for i, j in product(range(kh), range(kw)):
-        start = i * wp + j
-        acc[:rows] += flat[start:start + rows] @ kd[i, j]
-    acc.reshape(h, wp * cout)[...] += np.tile(bias.data, wp)
-    data = np.ascontiguousarray(acc.reshape(h, wp, cout)[:, :w])
+    out = _shift_add(xd, kd.shape, cout, lambda block: (
+        block @ k for k in kd.reshape(-1, cin, cout)), False, "conv2d")
+    data = (out.reshape(h, w * cout) + np.tile(bias.data, w)).reshape(h, w, cout)
 
     def input_vjp(g):
-        gwide = _widen(g, wp, rows)
-        gflat = np.zeros_like(flat)
         kt = np.ascontiguousarray(kd.transpose(0, 1, 3, 2))
-        for i, j in product(range(kh), range(kw)):
-            start = i * wp + j
-            gflat[start:start + rows] += gwide @ kt[i, j]
-        return gflat.reshape(-1, wp, cin)[kh // 2:kh // 2 + h,
-                                          kw // 2:kw // 2 + w]
+        return _shift_add(g, kd.shape, cin, lambda block: (
+            block @ k for k in kt.reshape(-1, cout, cin)), True, "conv2d")
 
     def kernel_vjp(g):
-        planes = np.ascontiguousarray(flat.T).reshape(cin, -1, wp)
+        planes = np.zeros((cin, h + kh - 1, w + kw - 1))
+        planes[:, kh // 2:kh // 2 + h, kw // 2:kw // 2 + w] = xd.transpose(2, 0, 1)
         gcols, gk = g.reshape(h * w, cout), np.empty_like(kd)
         for i, j in product(range(kh), range(kw)):
             window = planes[:, i:i + h, j:j + w].reshape(cin, h * w)
@@ -320,7 +318,7 @@ def blur2d(x: Tensor, kernel2d: np.ndarray) -> Tensor:
     """Depthwise blur with a fixed 2-D kernel (not differentiated), zero
     padding to same size. Used for box/Gaussian smoothing inside models.
 
-    Forward and VJP add one tap block (see _pad_flat) per tap of a copy
+    Forward and VJP add per tap (see _shift_add) a copy of the block
     scaled once per distinct tap value (a box kernel has one), which
     leaves every product, and so every sum, as it would be with one
     multiply per tap."""
@@ -329,29 +327,16 @@ def blur2d(x: Tensor, kernel2d: np.ndarray) -> Tensor:
     if xd.ndim != 3 or kern.ndim != 2:
         raise ShapeMismatchError(
             f"blur2d: incompatible shapes {xd.shape} and {kern.shape}")
-    kh, kw = kern.shape
-    h, w, c = xd.shape
-    flat, wp, rows = _pad_flat(xd, kern.shape, "blur2d")
+    c = xd.shape[2]
     taps, tap_of = np.unique(kern, return_inverse=True)
-    tap_of = tap_of.reshape(kern.shape)
-    scaled = [v * flat for v in taps]
-    acc = np.zeros((h * wp, c))
-    for i, j in product(range(kh), range(kw)):
-        start = i * wp + j
-        acc[:rows] += scaled[tap_of[i, j]][start:start + rows]
-    data = acc.reshape(h, wp, c)[:, :w]
 
-    def vjp(g):
-        gwide = _widen(g, wp, rows)
-        scaled_grad = [v * gwide for v in taps]
-        gflat = np.zeros_like(flat)
-        for i, j in product(range(kh), range(kw)):
-            start = i * wp + j
-            gflat[start:start + rows] += scaled_grad[tap_of[i, j]]
-        return gflat.reshape(-1, wp, c)[kh // 2:kh // 2 + h,
-                                        kw // 2:kw // 2 + w]
+    def scaled(block):
+        copies = [v * block for v in taps]
+        return (copies[t] for t in tap_of.ravel())
 
-    return _make(data, (x, vjp))
+    return _make(_shift_add(xd, kern.shape, c, scaled, False, "blur2d"),
+                 (x, lambda g: _shift_add(g, kern.shape, c, scaled, True,
+                                          "blur2d")))
 
 
 def box_kernel(radius: int) -> np.ndarray:

@@ -68,14 +68,15 @@ def parse_budget(text: str) -> float:
     return value
 
 
-def parse_size(text: str) -> tuple[int, int]:
+def parse_size(text: str, least: int = 1) -> tuple[int, int]:
+    """HxW, each side >= `least`."""
     try:
         h, w = text.lower().split("x", 1)
         size = int(h), int(w)
     except ValueError:
         raise UsageError(f"cannot parse size {text!r}, expected HxW") from None
-    if min(size) < 1:
-        raise UsageError(f"size sides must be >= 1, got {text!r}")
+    if min(size) < least:
+        raise UsageError(f"size sides must be >= {least}, got {text!r}")
     return size
 
 
@@ -296,9 +297,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = command("gen", cmd_gen, "generate a synthetic triplet dataset")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--count", type=int, default=8)
-    p.add_argument("--size", type=parse_size, default=(64, 64),
-                   help="HxW, e.g. 64x64")
+    p.add_argument("--count", type=at_least(1), default=8)
+    p.add_argument("--size", type=lambda text: parse_size(text, least=32),
+                   default=(64, 64), help="HxW, at least 32x32, e.g. 64x64")
     p.add_argument("--out", required=True)
 
     p = command("attack", cmd_attack, "attack a single image")

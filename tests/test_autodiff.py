@@ -147,10 +147,12 @@ def conv2d_case(h, w, cin, cout, kh, kw, with_bias):
     return list(zip(got, per_tap_conv(x, kernel, bias, cotangent)))
 
 
-# Cin = 1 puts the input VJP on BLAS's matrix-vector kernel, whose
-# rounding follows a row's position in its block (see conv2d): the 7x9x1
-# case matches the per-tap loop, but 8x8x1 -> 8 with a 3x3 kernel does
-# not, in the input VJP only. No zoo layer has Cin = 1.
+# Cin = 1 puts the input VJP on OpenBLAS's matrix-vector kernel, which
+# rounds a block's last rows mod 4 rows differently (see conv2d). The
+# 7x9x1 case matches the per-tap loop: its one block of 75 rows and the
+# loop's 63-row windows end their tails on the same three pixels, and the
+# kernel multiplies that same block at every tap. 8x8x1 -> 8 with a 3x3
+# kernel does not match, in the input VJP only. No zoo layer has Cin = 1.
 # Without a bias the reference adds none and conv2d gets a zero one:
 # the bits agree, as an accumulator that starts at +0.0 never holds -0.0.
 CONV2D_CASES = [

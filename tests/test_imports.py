@@ -34,3 +34,37 @@ def test_package_root_exports_exactly_its_imports():
     removing a public name cannot leave a stale re-export or entry."""
     tree = ast.parse(Path(shadowstorm.__file__).read_text(encoding="utf-8"))
     assert sorted(top_level_imports(tree)) == sorted(shadowstorm.__all__)
+
+
+def private_definitions(tree: ast.Module):
+    """Module-level `_name` functions, classes and constants (not dunders)."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) \
+                else [node.target]
+            names = [name.id for target in targets for name in ast.walk(target)
+                     if isinstance(name, ast.Name)]
+        else:
+            continue
+        yield from (name for name in names
+                    if name.startswith("_") and not name.startswith("__"))
+
+
+def test_every_private_helper_is_used():
+    """A private helper no module of the package reads is dead code, as a
+    layout helper left behind by the change that replaced it would be."""
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8"))
+             for path in Path(shadowstorm.__file__).parent.glob("*.py")}
+    read = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    unused = [f"{module}:{name}" for module, tree in sorted(trees.items())
+              for name in private_definitions(tree) if name not in read]
+    assert unused == []

@@ -116,9 +116,10 @@ class TestTinyCnn:
         assert out.data.min() >= 0.0 and out.data.max() <= 1.0
 
     def test_conv_kernels_have_several_channels_each_way(self):
-        # Cout = 1 (or Cin = 1 in the input VJP) sends conv2d down a BLAS
-        # matrix-vector kernel whose rounding follows the row's position,
-        # which the flat-block tap layout does not hold bit for bit
+        # Cout = 1 (or Cin = 1 in the input VJP) sends conv2d down
+        # OpenBLAS's matrix-vector kernel, which rounds a block's last
+        # rows mod 4 rows differently: conv2d's one block per tap then
+        # differs from per-window products in the last bit
         kernels = [shape for _, shape in TinyCnnModel.LAYOUT if len(shape) == 4]
         assert len(kernels) == 3
         for _kh, _kw, cin, cout in kernels:
