@@ -309,6 +309,21 @@ class TestAttack:
         assert "output is not finite" in capsys.readouterr().err
         assert os.listdir(out) == []
 
+    @pytest.mark.parametrize("value", ["0", "-1", "nan", "inf"])
+    def test_bad_step_div_usage_error_before_any_work(
+            self, dataset_dir, tmp_path, monkeypatch, capsys, value):
+        # --step-div is retired: these values, like any other, exit 2
+        out = tmp_path / "out"
+        out.mkdir()
+        forbid_attack(monkeypatch)
+        rc = main(["attack", "--mode", "uniform", "--eps", "4/255",
+                   "--step-div", value,
+                   "--image", str(dataset_dir / "shadow_0000.ppm"),
+                   "--out-prefix", str(out / "x")])
+        assert rc == 2
+        assert "--step-div" in capsys.readouterr().err
+        assert os.listdir(out) == []
+
     def test_free_of_another_shape_usage_error_before_model_load(
             self, dataset_dir, tmp_path, monkeypatch, capsys):
         free = tmp_path / "free.ppm"
@@ -553,6 +568,17 @@ class TestBench:
         assert rc == 2
         assert os.listdir(tmp_path) == []
 
+    @pytest.mark.parametrize("value", ["0", "-1", "nan", "inf"])
+    def test_bad_step_div_usage_error_before_any_write(
+            self, dataset_dir, tmp_path, monkeypatch, capsys, value):
+        # --step-div is retired: these values, like any other, exit 2
+        forbid_model_load(monkeypatch)
+        rc = main(["bench", "--dataset", str(dataset_dir), "--step-div", value,
+                   "--out", str(tmp_path / "x.csv")])
+        assert rc == 2
+        assert "--step-div" in capsys.readouterr().err
+        assert os.listdir(tmp_path) == []
+
     @pytest.mark.parametrize("flag,value", [("--budgets", "1/255,1/255"),
                                             ("--budgets", "1/255,2/255,2/255"),
                                             ("--budgets", "0.1,0.1000000001"),
@@ -671,10 +697,13 @@ class TestGradcheckCommand:
         reported = float(capsys.readouterr().out.split()[4])
         assert reported < 1e-9
 
-    @pytest.mark.parametrize("flag,value", [("--inputs", "0"),
-                                            ("--inputs", "-1")])
+    @pytest.mark.parametrize("flag,value", [
+        ("--inputs", "0"), ("--inputs", "-1"),
+        ("--h", "0"), ("--h", "-0.5"), ("--h", "nan"), ("--h", "inf"),
+        ("--tol", "0"), ("--tol", "-1"), ("--tol", "nan"), ("--tol", "inf")])
     def test_nothing_checkable_usage_error_before_model_load(
             self, monkeypatch, capsys, flag, value):
+        # --h and --tol are retired: these values, like any other, exit 2
         forbid_model_load(monkeypatch)
         assert main(["gradcheck", "--model", "identity", flag, value]) == 2
         assert flag in capsys.readouterr().err
