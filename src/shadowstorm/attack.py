@@ -179,6 +179,7 @@ def pgd_attack(model: DiffModel, image: Image, config: AttackConfig,
                 f"non-finite gradient at iteration {t} of {config.mode} "
                 f"attack (eps={config.epsilon:g})")
         delta = np.clip(delta + step * np.sign(grad), box.lower, box.upper)
+        del out, pullback, cotangent, grad  # only delta outlives iteration t
         if on_iteration is not None:
             on_iteration(t, delta)
 

@@ -105,9 +105,14 @@ class Tensor:
         with 1.0. With `seed` (an array matching this tensor's shape) the
         call computes the corresponding vector-Jacobian product instead.
         A tape can only be walked once; build a fresh graph to re-derive.
-        Every walked node drops its backward closure and parents afterwards:
-        a model's pullback still holds its output node, which would
-        otherwise keep the whole tape alive as long as the pullback.
+
+        The walk frees the tape as it goes: each node is popped off it and
+        drops its backward closure and parents before its rule runs, and an
+        interior node (one with a rule) drops its gradient once the rule
+        has run. The walk so holds only the nodes not yet reached and the
+        gradient frontier; only leaves keep ``.grad``. A model's pullback
+        still holds its output node, which would otherwise keep the whole
+        tape alive as long as the pullback.
         """
         if self._backward_done:
             raise RuntimeError("backward called twice on the same tape; "
@@ -137,13 +142,13 @@ class Tensor:
                 if id(parent) not in visited:
                     stack.append((parent, False))
 
-        for node in reversed(topo):
+        while topo:
+            node = topo.pop()
+            rule, node._backward, node._parents = node._backward, None, ()
             # a hand-built rule may leave a parent without a gradient
-            if node._backward is not None and node.grad is not None:
-                node._backward(node.grad)
-        for node in topo:
-            node._backward = None
-            node._parents = ()
+            if rule is not None and node.grad is not None:
+                rule(node.grad)
+                node.grad = None
 
 
 def _make(data: np.ndarray, *rules: tuple[Tensor, Callable]) -> Tensor:

@@ -17,10 +17,11 @@ import numpy as np
 
 
 class PnmError(ValueError):
-    """Malformed PNM file. Carries the byte offset where parsing failed."""
+    """Malformed PNM file. The message names the file and carries the byte
+    offset where parsing failed."""
 
-    def __init__(self, message: str, offset: int):
-        super().__init__(f"{message} (byte offset {offset})")
+    def __init__(self, path, message: str, offset: int):
+        super().__init__(f"{path}: {message} (byte offset {offset})")
         self.offset = offset
 
 
@@ -109,8 +110,9 @@ def quantize(values: np.ndarray) -> np.ndarray:
 class _PnmReader:
     """Tokenizer over a raw PNM byte string, tracking byte offsets."""
 
-    def __init__(self, raw: bytes):
+    def __init__(self, raw: bytes, path):
         self.raw = raw
+        self.path = path
         self.pos = 0
 
     def token(self, what: str) -> bytes:
@@ -127,7 +129,8 @@ class _PnmReader:
             else:
                 break
         if pos >= n:
-            raise PnmError(f"unexpected end of header, expected {what}", pos)
+            raise PnmError(self.path,
+                           f"unexpected end of header, expected {what}", pos)
         start = pos
         while pos < n and not raw[pos:pos + 1].isspace():
             pos += 1
@@ -140,33 +143,37 @@ class _PnmReader:
         try:
             return int(tok)
         except ValueError:
-            raise PnmError(f"expected integer {what}, got {tok!r}", start) from None
+            raise PnmError(self.path, f"expected integer {what}, got {tok!r}",
+                           start) from None
 
 
 def _parse_pnm(raw: bytes, path) -> tuple[int, int, int, np.ndarray]:
     """Parse raw PNM bytes -> (height, width, channels, byte payload)."""
-    rd = _PnmReader(raw)
+    rd = _PnmReader(raw, path)
     magic = rd.token("magic")
     if magic not in (b"P5", b"P6"):
-        raise PnmError(f"bad magic {magic!r}, expected P5 or P6", 0)
+        raise PnmError(path, f"bad magic {magic!r}, expected P5 or P6", 0)
     channels = 1 if magic == b"P5" else 3
     width = rd.int_token("width")
     height = rd.int_token("height")
     if width < 1 or height < 1:
-        raise PnmError(f"non-positive dimensions {width}x{height}", rd.pos)
+        raise PnmError(path, f"non-positive dimensions {width}x{height}",
+                       rd.pos)
     maxval_at = rd.pos
     maxval = rd.int_token("maxval")
     if maxval != 255:
-        raise PnmError(f"unsupported maxval {maxval}, only 255 is handled",
+        raise PnmError(path,
+                       f"unsupported maxval {maxval}, only 255 is handled",
                        maxval_at)
     # exactly one whitespace byte separates the header from the payload
     if rd.pos >= len(raw) or not raw[rd.pos:rd.pos + 1].isspace():
-        raise PnmError("missing whitespace before payload", rd.pos)
+        raise PnmError(path, "missing whitespace before payload", rd.pos)
     rd.pos += 1
     expected = height * width * channels
     payload = raw[rd.pos:]
     if len(payload) < expected:
         raise PnmError(
+            path,
             f"truncated payload: expected {expected} bytes, got {len(payload)}",
             rd.pos + len(payload))
     data = np.frombuffer(payload[:expected], dtype=np.uint8)
@@ -213,7 +220,7 @@ def load_mask(path) -> ShadowMask:
         raw = fh.read()
     height, width, channels, data = _parse_pnm(raw, path)
     if channels != 1:
-        raise PnmError("mask must be single-channel (P5)", 0)
+        raise PnmError(path, "mask must be single-channel (P5)", 0)
     return ShadowMask((data.reshape(height, width) / 255.0 > 0.5)
                       .astype(np.uint8))
 

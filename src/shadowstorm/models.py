@@ -6,7 +6,9 @@ Every model exposes exactly two capabilities consumed by the attacks:
   * ``vjp(x) -> (ndarray, pullback)``: on an H x W x C array, the same
     clamped output as an array from one forward pass, plus
     ``pullback(cotangent) -> ndarray``, the vector-Jacobian product of the
-    forward map with an upstream cotangent array. A pullback runs once.
+    forward map with an upstream cotangent array. A pullback runs once,
+    and its backward walk frees each tape node as it consumes it: only the
+    input leaf keeps a gradient, the one it returns.
 
 Anything implementing that pair can be attacked; the bundled zoo holds an
 identity map (analytic test target), an illumination gain-map corrector,

@@ -1,4 +1,6 @@
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -11,7 +13,8 @@ from shadowstorm.attack import (AttackConfig, BudgetBox, NonFiniteGradientError,
 from shadowstorm.imagecore import INTENSITY_FLOOR, Image
 from shadowstorm.metrics import (normalized_perturbation_map,
                                  perturbation_norms, psnr)
-from shadowstorm.models import model_gainmap, model_identity, model_tinycnn
+from shadowstorm.models import (GainMapModel, model_gainmap, model_identity,
+                                model_tinycnn)
 from shadowstorm.rng import Xoshiro256StarStar
 from shadowstorm.synthdata import SynthConfig, gen_triplet
 
@@ -284,6 +287,37 @@ class TestPgdConstraints:
                 mode="adaptive", epsilon=8 / 255, iterations=iterations))
             counts.append(len(built))
         assert counts[0] == counts[1]
+
+    def test_nothing_of_an_iteration_outlives_it(self):
+        # by the time on_iteration runs, iteration t's output tensor and
+        # output array are freed, so they are not alive during the next
+        # iteration's forward; gc is off, so only reference counts free them
+        tensors, arrays, alive = [], [], []
+
+        class Probe(GainMapModel):
+            def forward_t(self, x, params):
+                out = super().forward_t(x, params)
+                if x.requires_grad:  # a vjp's tape, not the anchor's
+                    tensors.append(weakref.ref(out))
+                return out
+
+            def vjp(self, x):
+                out, pullback = super().vjp(x)
+                arrays.append(weakref.ref(out))
+                return out, pullback
+
+        def hook(t, delta):
+            alive.append((len(tensors), tensors[t]() is not None,
+                          arrays[t]() is not None))
+
+        gc.disable()
+        try:
+            pgd_attack(Probe(), interior_image(23, shape=(12, 12, 3)),
+                       AttackConfig(mode="uniform", epsilon=0.05,
+                                    iterations=3), on_iteration=hook)
+        finally:
+            gc.enable()
+        assert alive == [(t + 1, False, False) for t in range(3)]
 
     def test_parameters_untouched_by_attack(self):
         model = model_tinycnn(seed=5)

@@ -324,6 +324,26 @@ class TestAttack:
         assert "--step-div" in capsys.readouterr().err
         assert os.listdir(out) == []
 
+    @pytest.mark.parametrize("raw,message", [
+        (b"P7\n1 1\n255\n\x00", "bad magic"),
+        (b"P6\n1 1\n255\n\xff\xff\xff", "single-channel")],
+        ids=["bad-magic", "three-channel"])
+    def test_malformed_mask_io_error_names_it_before_any_write(
+            self, dataset_dir, tmp_path, capsys, raw, message):
+        mask = tmp_path / "bad.pgm"
+        mask.write_bytes(raw)
+        out = tmp_path / "out"
+        out.mkdir()
+        rc = main(["attack", "--mode", "uniform", "--eps", "4/255",
+                   "--image", str(dataset_dir / "shadow_0000.ppm"),
+                   "--mask", str(mask),
+                   "--free", str(dataset_dir / "free_0000.ppm"),
+                   "--out-prefix", str(out / "x")])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert f"{mask}: " in err and message in err
+        assert os.listdir(out) == []
+
     def test_free_of_another_shape_usage_error_before_model_load(
             self, dataset_dir, tmp_path, monkeypatch, capsys):
         free = tmp_path / "free.ppm"
@@ -552,6 +572,25 @@ class TestBench:
         assert rc == 2
         assert "same file" in capsys.readouterr().err
         assert os.listdir(tmp_path) == []
+
+    @pytest.mark.parametrize("member", ["shadow_0001.ppm", "mask_0001.pgm",
+                                        "free_0001.ppm"])
+    def test_malformed_triplet_member_io_error_names_it_before_any_write(
+            self, dataset_dir, tmp_path, capsys, member):
+        data = tmp_path / "data"
+        data.mkdir()
+        for name in os.listdir(dataset_dir):
+            (data / name).write_bytes((dataset_dir / name).read_bytes())
+        raw = (data / member).read_bytes()
+        (data / member).write_bytes(raw[:len(raw) // 2])  # truncated payload
+        out = tmp_path / "out"
+        out.mkdir()
+        rc = main(["bench", "--dataset", str(data), "--model", "identity",
+                   "--iters", "1", "--out", str(out / "bench.csv")])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert f"{data / member}: truncated payload" in err
+        assert os.listdir(out) == []
 
     def test_unsorted_budgets_rejected(self, dataset_dir, tmp_path):
         rc = main(["bench", "--dataset", str(dataset_dir), "--budgets",

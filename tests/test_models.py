@@ -166,26 +166,45 @@ class TestVjp:
 
     def test_pullback_releases_tape_without_gc(self):
         class Probe(TapeModel):
-            """Keeps a weak reference to an intermediate tape tensor."""
-            hidden = None
+            """Keeps weak references to intermediate tape tensors; a
+            hand-built rule at the bottom of the chain records, when it
+            runs, whether the node right above it is still alive."""
+            hidden = above = None
+            above_alive_at_bottom: list = []
 
             def forward_t(self, x, params):
-                mid = ad.relu(ad.smul(x, 2.0))
+                def bottom_rule(g):
+                    Probe.above_alive_at_bottom.append(
+                        Probe.above() is not None)
+                    x._accumulate(g)
+                bottom = Tensor(x.data, requires_grad=True, _parents=(x,),
+                                _backward=bottom_rule)
+                doubled = ad.smul(bottom, 2.0)
+                Probe.above = weakref.ref(doubled)
+                mid = ad.relu(doubled)
                 Probe.hidden = weakref.ref(mid)
                 return ad.clamp01(ad.smul(mid, 0.5))
 
         img = random_image(41, shape=(8, 8, 3))
         gc.disable()
         try:
-            out = Probe().forward_t(Tensor(img.data, requires_grad=True), {})
+            leaf = Tensor(img.data, requires_grad=True)
+            out = Probe().forward_t(leaf, {})
             assert Probe.hidden() is not None
             out.backward(np.ones(img.shape))
             assert Probe.hidden() is None
+            # the walk freed each interior node once its rule had run
+            assert Probe.above_alive_at_bottom == [False]
+            # only the leaf keeps a gradient: 2 * 0.5 through relu and clamp
+            assert out.grad is None
+            assert leaf.grad.tobytes() == np.ones(img.shape).tobytes()
 
             _, pullback = Probe().vjp(img.data)
             assert Probe.hidden() is not None
-            pullback(np.ones(img.shape))
+            grad = pullback(np.ones(img.shape))
             assert Probe.hidden() is None
+            assert Probe.above_alive_at_bottom == [False, False]
+            assert grad.tobytes() == np.ones(img.shape).tobytes()
         finally:
             gc.enable()
 
