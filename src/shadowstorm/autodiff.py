@@ -285,7 +285,8 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Tensor) -> Tensor:
     The input VJP takes a C-contiguous copy of the transposed kernel, which
     OpenBLAS's SkylakeX core runs on its small-matrix kernel, with the bits
     of the transposed view except on 1 x 1 inputs (a matrix-vector product;
-    no CLI command runs one, SSIM needs 11 x 11).
+    only `gradcheck --size 1x1` runs one, at a tolerance far above the last
+    bit; SSIM keeps `attack` and `bench` at 11 x 11 or more).
     The kernel VJP takes per tap a (Cin, H * W) window of one channel-major
     padded copy @ the (H * W, Cout) cotangent: tensordot's GEMM and bits."""
     xd, kd = x.data, kernel.data

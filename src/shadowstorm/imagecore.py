@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import contextlib
 import os
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,7 +23,6 @@ class PnmError(ValueError):
 
     def __init__(self, path, message: str, offset: int):
         super().__init__(f"{path}: {message} (byte offset {offset})")
-        self.offset = offset
 
 
 def _freeze(arr: np.ndarray) -> np.ndarray:
@@ -107,85 +107,64 @@ def quantize(values: np.ndarray) -> np.ndarray:
     return np.floor(np.asarray(values) * 255.0 + 0.5).astype(np.uint8)
 
 
-class _PnmReader:
-    """Tokenizer over a raw PNM byte string, tracking byte offsets."""
+# A header gap is whitespace, then at most one '#' comment, matched again
+# while it advances: one repeated group such as (?:\s|#[^\n]*)* would keep
+# re's backtracking state per repetition, hundreds of MB on a long gap.
+_GAP = re.compile(rb"\s*(?:#[^\n]*)?")
+_TOKEN = re.compile(rb"\S*")
 
-    def __init__(self, raw: bytes, path):
-        self.raw = raw
-        self.path = path
-        self.pos = 0
 
-    def token(self, what: str) -> bytes:
-        raw, n = self.raw, len(self.raw)
-        pos = self.pos
-        # skip whitespace and '#' comments (netpbm allows them in the header)
-        while pos < n:
-            c = raw[pos:pos + 1]
-            if c.isspace():
-                pos += 1
-            elif c == b"#":
-                while pos < n and raw[pos:pos + 1] != b"\n":
-                    pos += 1
-            else:
-                break
-        if pos >= n:
-            raise PnmError(self.path,
-                           f"unexpected end of header, expected {what}", pos)
-        start = pos
-        while pos < n and not raw[pos:pos + 1].isspace():
-            pos += 1
-        self.pos = pos
+def _read_pnm(path) -> np.ndarray:
+    """Read a binary PNM file -> its (height, width, channels) uint8 payload.
+    Whitespace and '#' comments may precede each header field (netpbm
+    allows them in the header); each error names the byte offset."""
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    pos = 0
+
+    def field(what: str) -> bytes:
+        nonlocal pos
+        while (gap := _GAP.match(raw, pos).end()) > pos:
+            pos = gap
+        if pos == len(raw):
+            raise PnmError(path, f"unexpected end of header, expected {what}",
+                           pos)
+        start, pos = pos, _TOKEN.match(raw, pos).end()
         return raw[start:pos]
 
-    def int_token(self, what: str) -> int:
-        start = self.pos
-        tok = self.token(what)
+    def integer(what: str) -> int:
+        start, token = pos, field(what)
         try:
-            return int(tok)
+            return int(token)
         except ValueError:
-            raise PnmError(self.path, f"expected integer {what}, got {tok!r}",
+            raise PnmError(path, f"expected integer {what}, got {token!r}",
                            start) from None
 
-
-def _parse_pnm(raw: bytes, path) -> tuple[int, int, int, np.ndarray]:
-    """Parse raw PNM bytes -> (height, width, channels, byte payload)."""
-    rd = _PnmReader(raw, path)
-    magic = rd.token("magic")
+    magic = field("magic")
     if magic not in (b"P5", b"P6"):
         raise PnmError(path, f"bad magic {magic!r}, expected P5 or P6", 0)
-    channels = 1 if magic == b"P5" else 3
-    width = rd.int_token("width")
-    height = rd.int_token("height")
+    width, height = integer("width"), integer("height")
     if width < 1 or height < 1:
-        raise PnmError(path, f"non-positive dimensions {width}x{height}",
-                       rd.pos)
-    maxval_at = rd.pos
-    maxval = rd.int_token("maxval")
+        raise PnmError(path, f"non-positive dimensions {width}x{height}", pos)
+    maxval_at, maxval = pos, integer("maxval")
     if maxval != 255:
-        raise PnmError(path,
-                       f"unsupported maxval {maxval}, only 255 is handled",
+        raise PnmError(path, f"unsupported maxval {maxval}, only 255 is handled",
                        maxval_at)
     # exactly one whitespace byte separates the header from the payload
-    if rd.pos >= len(raw) or not raw[rd.pos:rd.pos + 1].isspace():
-        raise PnmError(path, "missing whitespace before payload", rd.pos)
-    rd.pos += 1
-    expected = height * width * channels
-    payload = raw[rd.pos:]
-    if len(payload) < expected:
-        raise PnmError(
-            path,
-            f"truncated payload: expected {expected} bytes, got {len(payload)}",
-            rd.pos + len(payload))
-    data = np.frombuffer(payload[:expected], dtype=np.uint8)
-    return height, width, channels, data
+    if not raw[pos:pos + 1].isspace():
+        raise PnmError(path, "missing whitespace before payload", pos)
+    channels = 1 if magic == b"P5" else 3
+    expected, got = height * width * channels, len(raw) - pos - 1
+    if got < expected:
+        raise PnmError(path, f"truncated payload: expected {expected} bytes, "
+                       f"got {got}", len(raw))
+    return np.frombuffer(raw, np.uint8, expected, pos + 1).reshape(
+        height, width, channels)
 
 
 def load_pnm(path) -> Image:
     """Load a binary 8-bit PGM (P5) or PPM (P6) file as a unit-range Image."""
-    with open(path, "rb") as fh:
-        raw = fh.read()
-    height, width, channels, data = _parse_pnm(raw, path)
-    return Image(data.reshape(height, width, channels) / 255.0)
+    return Image(_read_pnm(path) / 255.0)
 
 
 def save_pnm(image: Image, path) -> None:
@@ -216,13 +195,10 @@ def write_atomic(path, payload: bytes) -> None:
 
 def load_mask(path) -> ShadowMask:
     """Load a P5 grayscale file as a binary mask: 1 where v/255 > 0.5."""
-    with open(path, "rb") as fh:
-        raw = fh.read()
-    height, width, channels, data = _parse_pnm(raw, path)
-    if channels != 1:
+    data = _read_pnm(path)
+    if data.shape[2] != 1:
         raise PnmError(path, "mask must be single-channel (P5)", 0)
-    return ShadowMask((data.reshape(height, width) / 255.0 > 0.5)
-                      .astype(np.uint8))
+    return ShadowMask((data[:, :, 0] / 255.0 > 0.5).astype(np.uint8))
 
 
 def save_mask(mask: ShadowMask, path) -> None:

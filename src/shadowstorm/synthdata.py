@@ -262,28 +262,36 @@ _TRIPLET_RE = re.compile(r"^(shadow|mask|free)_(\d+)\.(ppm|pgm)$")
 def load_triplet_dir(directory) -> list[tuple[int, Triplet]]:
     """Load (index, Triplet) pairs sorted by index.
 
-    Any index seen in one member's filename must have all three files;
-    shapes must agree. An empty directory is valid and returns [].
+    A member's file name must be the one `triplet_paths` gives for its
+    index, and any index seen in one member's file name must have all three
+    files; shapes must agree. An empty directory is valid and returns [].
     """
     indices: set[int] = set()
-    for name in os.listdir(directory):
+    for name in sorted(os.listdir(directory)):
         m = _TRIPLET_RE.match(name)
         if m:
-            indices.add(int(m.group(2)))
+            path, index = os.path.join(directory, name), int(m.group(2))
+            expected = triplet_paths(directory, index)[
+                ("shadow", "mask", "free").index(m.group(1))]
+            if path != expected:
+                raise TripletDirError(f"{path}: not a triplet file name, "
+                                      f"expected {os.path.basename(expected)}")
+            indices.add(index)
     triplets = []
     for index in sorted(indices):
         shadow_path, mask_path, free_path = triplet_paths(directory, index)
-        for path, member in ((shadow_path, "shadow"), (mask_path, "mask"),
-                             (free_path, "free")):
+        for path in (shadow_path, mask_path, free_path):
             if not os.path.exists(path):
-                raise TripletDirError(f"missing {member}_{index:04d}")
+                raise TripletDirError(
+                    f"{directory}: missing {os.path.basename(path)}")
         shadow = load_pnm(shadow_path)
         mask = load_mask(mask_path)
         free = load_pnm(free_path)
         if shadow.shape != free.shape or not mask.matches(shadow):
             raise TripletDirError(
-                f"triplet {index:04d} has inconsistent shapes: shadow "
-                f"{shadow.shape}, free {free.shape}, mask {mask.data.shape}")
+                f"triplet {index:04d} has inconsistent shapes: {shadow_path} "
+                f"{shadow.shape}, {free_path} {free.shape}, {mask_path} "
+                f"{mask.data.shape}")
         triplets.append((index, Triplet(shadow=shadow, mask=mask,
                                         shadow_free=free)))
     return triplets

@@ -72,6 +72,19 @@ def dataset_dir(tmp_path_factory):
     return path
 
 
+def copy_dataset(source, target):
+    target.mkdir()
+    for name in os.listdir(source):
+        (target / name).write_bytes((source / name).read_bytes())
+    return target
+
+
+# (a stray file's name, the member name of its index) for names of a
+# member's form that are no member's file name
+MISNAMED_MEMBERS = [("mask_7.pgm", "mask_0007.pgm"),
+                    ("shadow_1.ppm", "shadow_0001.ppm")]
+
+
 @pytest.fixture(scope="module")
 def overflowing_params(tmp_path_factory):
     """tinycnn parameters scaled so far that its output is NaN."""
@@ -577,10 +590,7 @@ class TestBench:
                                         "free_0001.ppm"])
     def test_malformed_triplet_member_io_error_names_it_before_any_write(
             self, dataset_dir, tmp_path, capsys, member):
-        data = tmp_path / "data"
-        data.mkdir()
-        for name in os.listdir(dataset_dir):
-            (data / name).write_bytes((dataset_dir / name).read_bytes())
+        data = copy_dataset(dataset_dir, tmp_path / "data")
         raw = (data / member).read_bytes()
         (data / member).write_bytes(raw[:len(raw) // 2])  # truncated payload
         out = tmp_path / "out"
@@ -590,6 +600,20 @@ class TestBench:
         assert rc == 3
         err = capsys.readouterr().err
         assert f"{data / member}: truncated payload" in err
+        assert os.listdir(out) == []
+
+    @pytest.mark.parametrize("name,expected", MISNAMED_MEMBERS)
+    def test_misnamed_triplet_member_io_error_names_it_before_any_write(
+            self, dataset_dir, tmp_path, capsys, name, expected):
+        data = copy_dataset(dataset_dir, tmp_path / "data")
+        (data / name).write_bytes((data / "mask_0000.pgm").read_bytes())
+        out = tmp_path / "out"
+        out.mkdir()
+        rc = main(["bench", "--dataset", str(data), "--model", "identity",
+                   "--iters", "1", "--out", str(out / "bench.csv")])
+        assert rc == 3
+        assert f"{data / name}: not a triplet file name, expected {expected}" \
+            in capsys.readouterr().err
         assert os.listdir(out) == []
 
     def test_unsorted_budgets_rejected(self, dataset_dir, tmp_path):
@@ -846,6 +870,20 @@ class TestTrain:
         assert "same file" in capsys.readouterr().err
         assert os.listdir(tmp_path) == ["sub"]
         assert os.listdir(tmp_path / "sub") == []
+
+    @pytest.mark.parametrize("name,expected", MISNAMED_MEMBERS)
+    def test_misnamed_triplet_member_io_error_names_it_before_any_write(
+            self, dataset_dir, tmp_path, capsys, name, expected):
+        data = copy_dataset(dataset_dir, tmp_path / "data")
+        (data / name).write_bytes((data / "mask_0000.pgm").read_bytes())
+        out = tmp_path / "out"
+        out.mkdir()
+        rc = main(["train", "--dataset", str(data), "--epochs", "1",
+                   "--out", str(out / "p.sspm")])
+        assert rc == 3
+        assert f"{data / name}: not a triplet file name, expected {expected}" \
+            in capsys.readouterr().err
+        assert os.listdir(out) == []
 
     def test_empty_dataset_usage_error(self, tmp_path):
         empty = tmp_path / "empty"

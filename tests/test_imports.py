@@ -1,5 +1,6 @@
 """Import hygiene: a name imported at the top level of a package module and
-never used there is a leftover, usually from a deletion."""
+never used there is a leftover, usually from a deletion. So is a private
+helper or an instance attribute that nothing reads."""
 
 import ast
 from pathlib import Path
@@ -68,3 +69,35 @@ def test_every_private_helper_is_used():
     unused = [f"{module}:{name}" for module, tree in sorted(trees.items())
               for name in private_definitions(tree) if name not in read]
     assert unused == []
+
+
+def instance_attributes(tree: ast.Module):
+    """Names `n` of every `self.n` that is assigned to."""
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)
+                and isinstance(node.value, ast.Name)
+                and node.value.id == "self"):
+            yield node.attr
+
+
+def test_every_instance_attribute_is_read():
+    """An attribute that the package sets and that no module of the package,
+    its tests or its benchmark reads, as an attribute or by its name in a
+    string (`getattr`), is dead state."""
+    root = Path(shadowstorm.__file__).parent
+    readers = [*root.glob("*.py"), *Path(__file__).parent.glob("*.py"),
+               *(Path(__file__).parent.parent / "perfbench").glob("*.py")]
+    read = set()
+    for path in readers:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx,
+                                                              ast.Load):
+                read.add(node.attr)
+            elif isinstance(node, ast.Constant) and isinstance(node.value,
+                                                               str):
+                read.add(node.value)
+    unread = sorted({f"{path.name}:{name}" for path in root.glob("*.py")
+                     for name in instance_attributes(
+                         ast.parse(path.read_text(encoding="utf-8")))
+                     if name not in read})
+    assert unread == []

@@ -152,6 +152,20 @@ class TestLoadTripletDir:
         with pytest.raises(TripletDirError, match="missing shadow_0000"):
             load_triplet_dir(tmp_path)
 
+    @pytest.mark.parametrize("name,expected", [
+        ("mask_7.pgm", "mask_0007.pgm"), ("shadow_1.ppm", "shadow_0001.ppm"),
+        ("shadow_0001.pgm", "shadow_0001.ppm")])
+    def test_misnamed_member_raises_naming_it(self, tmp_path, name, expected):
+        """A name of a member's form that `triplet_paths` does not give is
+        no member: it is neither ignored nor read as a missing sibling."""
+        gen_dataset(SynthConfig(seed=14, count=2, height=32, width=32),
+                    tmp_path)
+        (tmp_path / name).write_bytes((tmp_path / "mask_0000.pgm").read_bytes())
+        with pytest.raises(TripletDirError) as info:
+            load_triplet_dir(tmp_path)
+        assert str(info.value) == (f"{tmp_path / name}: not a triplet file "
+                                   f"name, expected {expected}")
+
     def test_empty_dir_returns_empty(self, tmp_path):
         assert load_triplet_dir(tmp_path) == []
 
