@@ -12,27 +12,38 @@ The two budgets are comparable through the mean-intensity mapping
 eps_uniform = eps_adaptive * mean(I), which equalizes the maximum
 achievable mean absolute perturbation of the two feasible sets.
 
+Every budget passes :func:`check_budget`, so every radius and step is a
+normal float and every coordinate of the box has room to move.
+
 The loop runs on arrays, through the model's array-level ``vjp``; ``Image``s
 are built only outside it. The perturbation is a read-only array.
 """
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from .imagecore import Image, effective_intensity, mean_intensity
+from .imagecore import (INTENSITY_FLOOR, Image, effective_intensity,
+                        mean_intensity)
 from .models import DiffModel
 from .rng import Xoshiro256StarStar
-
-log = logging.getLogger(__name__)
 
 MODES = MODE_UNIFORM, MODE_ADAPTIVE = ("uniform", "adaptive")
 STEP_DIVISOR = 4.0  # the step is epsilon / STEP_DIVISOR per iteration
 L1_SLACK = 1e-9  # float slack of verify_l1_bound's two checks
+
+
+def check_budget(value: float, what: str) -> None:
+    """Raise ValueError, naming `what`, unless `value` is a budget below 1
+    whose smallest step, value / STEP_DIVISOR on a pixel at INTENSITY_FLOOR,
+    is a normal float: a budget of about 2.27e-305 or more."""
+    smallest_step = value / STEP_DIVISOR * INTENSITY_FLOOR
+    if not (value < 1.0 and smallest_step >= np.finfo(float).tiny):
+        raise ValueError(f"{what} must lie in (0, 1) with a normal smallest "
+                         f"step (about 2.27e-305 or more), got {value}")
 
 
 class NonFiniteGradientError(ArithmeticError):
@@ -56,8 +67,7 @@ class AttackConfig:
     def __post_init__(self):
         if self.mode not in MODES:
             raise ValueError(f"unknown attack mode {self.mode!r}")
-        if not 0.0 < self.epsilon < 1.0:
-            raise ValueError(f"epsilon must lie in (0, 1), got {self.epsilon}")
+        check_budget(self.epsilon, "epsilon")
         if self.iterations < 1:
             raise ValueError(f"iterations must be >= 1, got {self.iterations}")
 
@@ -68,11 +78,6 @@ class BudgetBox:
 
     lower: np.ndarray
     upper: np.ndarray
-
-    @property
-    def is_degenerate(self) -> bool:
-        """True when no coordinate has any room to move."""
-        return bool(np.all(self.upper - self.lower <= 0.0))
 
 
 @dataclass(frozen=True)
@@ -89,20 +94,23 @@ class AttackResult:
     attacked_output: Image
 
 
+def _radius(image: Image, config: AttackConfig) -> np.ndarray | float:
+    """The budget's bound on |delta|: epsilon in uniform mode, epsilon *
+    max(I, 1/255) per coordinate in adaptive mode."""
+    if config.mode == MODE_ADAPTIVE:
+        return config.epsilon * effective_intensity(image)
+    return config.epsilon
+
+
 def budget_box(image: Image, config: AttackConfig) -> BudgetBox:
     """Feasible perturbation box for an image under the configured budget.
 
     Both modes intersect the budget interval with [-I, 1 - I] so the
     attacked image stays inside [0, 1].
     """
-    intens = image.data
-    if config.mode == MODE_UNIFORM:
-        radius = np.full_like(intens, config.epsilon)
-    else:
-        radius = config.epsilon * effective_intensity(image)
-    lower = np.maximum(-radius, -intens)
-    upper = np.minimum(radius, 1.0 - intens)
-    return BudgetBox(lower=lower, upper=upper)
+    radius, intens = _radius(image, config), image.data
+    return BudgetBox(lower=np.maximum(-radius, -intens),
+                     upper=np.minimum(radius, 1.0 - intens))
 
 
 def init_delta(box: BudgetBox, seed: int) -> np.ndarray:
@@ -134,12 +142,6 @@ def attack_objective(anchor: np.ndarray, attacked_output: np.ndarray
     return value, cotangent
 
 
-def _step_size(image: Image, config: AttackConfig) -> np.ndarray | float:
-    if config.mode == MODE_ADAPTIVE:
-        return (config.epsilon / STEP_DIVISOR) * effective_intensity(image)
-    return config.epsilon / STEP_DIVISOR
-
-
 def pgd_attack(model: DiffModel, image: Image, config: AttackConfig,
                on_iteration: Callable[[int, np.ndarray], None] | None = None,
                anchor: Image | None = None) -> AttackResult:
@@ -156,13 +158,10 @@ def pgd_attack(model: DiffModel, image: Image, config: AttackConfig,
     audit the per-iteration constraint.
     """
     box = budget_box(image, config)
-    if box.is_degenerate:
-        log.warning("budget box is degenerate (no coordinate can move); "
-                    "the attack will return delta = 0")
     delta = init_delta(box, config.seed)  # read-only; only ever rebound
     if anchor is None:
         anchor = model.forward(image)
-    step = _step_size(image, config)
+    step = _radius(image, config) / STEP_DIVISOR
 
     trace: list[float] = []
     for t in range(config.iterations):
@@ -198,8 +197,7 @@ def pgd_attack(model: DiffModel, image: Image, config: AttackConfig,
 def equivalent_uniform_budget(image: Image, epsilon_a: float) -> float:
     """Uniform budget with the same maximum mean-l1 strength as an adaptive
     budget epsilon_a on this image: epsilon_a times the mean intensity."""
-    if not 0.0 < epsilon_a < 1.0:
-        raise ValueError(f"epsilon_a must lie in (0, 1), got {epsilon_a}")
+    check_budget(epsilon_a, "epsilon_a")
     return epsilon_a * mean_intensity(image)
 
 

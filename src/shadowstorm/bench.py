@@ -214,9 +214,9 @@ def format_row(row: ResultRow) -> str:
     return ",".join(parts)
 
 
-def write_csv(path, rows: list[ResultRow], failures: list[SweepFailure] = (),
-              extra_comments: tuple[str, ...] = ()) -> None:
-    """Write the versioned CSV: schema line, comments, header, rows, then a
+def csv_text(rows: list[ResultRow], failures: list[SweepFailure] = (),
+             extra_comments: tuple[str, ...] = ()) -> bytes:
+    """The versioned CSV: schema line, comments, header, rows, then a
     summary block and any per-cell failures as trailing comments."""
     lines = [CSV_SCHEMA_LINE,
              "# psnr/ssim bases: gt = ground-truth shadow-free reference, "
@@ -233,7 +233,13 @@ def write_csv(path, rows: list[ResultRow], failures: list[SweepFailure] = (),
     for f in failures:
         lines.append(f"# failed {f.image_id} {f.mode} "
                      f"{fmt_epsilon(f.epsilon_nominal)} {f.error}")
-    write_atomic(path, ("\n".join(lines) + "\n").encode("utf-8"))
+    return ("\n".join(lines) + "\n").encode("utf-8")
+
+
+def write_csv(path, rows: list[ResultRow], failures: list[SweepFailure] = (),
+              extra_comments: tuple[str, ...] = ()) -> None:
+    """Write :func:`csv_text` to `path`."""
+    write_atomic(path, csv_text(rows, failures, extra_comments))
 
 
 def write_plot_data(path, rows: list[ResultRow]) -> None:

@@ -24,7 +24,7 @@ import sys
 import numpy as np
 
 from . import autodiff, bench, metrics
-from .attack import MODES, AttackConfig, pgd_attack
+from .attack import MODES, AttackConfig, check_budget, pgd_attack
 from .imagecore import (Image, PnmError, ShadowMask, load_mask, load_pnm,
                         save_pnm, write_atomic)
 from .models import (ParamsError, load_params, model_gainmap, model_identity,
@@ -40,7 +40,8 @@ EXIT_IO = 3
 EXIT_NUMERIC = 4
 EXIT_VALIDATION = 5
 
-ZOO_NAMES = ("identity", "gainmap", "tinycnn")
+ZOO = {"identity": model_identity, "gainmap": model_gainmap,
+       "tinycnn": model_tinycnn}
 
 # glibc mallopt parameters; a fixed threshold also stops glibc's dynamic one
 M_TRIM_THRESHOLD = -1
@@ -54,17 +55,16 @@ class UsageError(ValueError, argparse.ArgumentTypeError):
 
 
 def parse_budget(text: str) -> float:
-    """Accept '16/255' fractions or plain decimals; must lie in (0, 1)."""
+    """Accept '16/255' fractions or plain decimals; see check_budget."""
     try:
-        if "/" in text:
-            num, den = text.split("/", 1)
-            value = float(num) / float(den)
-        else:
-            value = float(text)
+        num, slash, den = text.partition("/")
+        value = float(num) / float(den) if slash else float(text)
     except (ValueError, ZeroDivisionError):
         raise UsageError(f"cannot parse budget {text!r}") from None
-    if not 0.0 < value < 1.0:
-        raise UsageError(f"budget must lie in (0, 1) exclusive, got {text!r}")
+    try:
+        check_budget(value, "budget")
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
     return value
 
 
@@ -123,16 +123,12 @@ def positive(text: str) -> float:
 
 def load_model(identifier: str):
     """Zoo name or a parameter-file path."""
-    if identifier == "identity":
-        return model_identity()
-    if identifier == "gainmap":
-        return model_gainmap()
-    if identifier == "tinycnn":
-        return model_tinycnn(seed=0)
+    if identifier in ZOO:
+        return ZOO[identifier]()
     if os.path.exists(identifier):
         return model_tinycnn_from_params(load_params(identifier))
     raise UsageError(f"unknown model {identifier!r}: expected one of "
-                     f"{ZOO_NAMES} or a parameter file")
+                     f"{tuple(ZOO)} or a parameter file")
 
 
 def _check_scorable(image: Image, mask: ShadowMask | None, what: str) -> None:
@@ -159,12 +155,11 @@ def _check_distinct(out: str, other: str, what: str) -> None:
         raise UsageError(f"--out {out} and {what} {other} are the same file")
 
 
-def _write_stretched(arr: np.ndarray, path) -> float:
-    """Save |arr| linearly stretched to full range; returns the stretch factor."""
+def _stretched(arr: np.ndarray) -> tuple[Image, float]:
+    """|arr| linearly stretched to full range, and the stretch factor."""
     peak = float(np.abs(arr).max())
     stretch = 1.0 / peak if peak > 0.0 else 1.0
-    save_pnm(Image(np.clip(np.abs(arr) * stretch, 0.0, 1.0)), path)
-    return stretch
+    return Image(np.clip(np.abs(arr) * stretch, 0.0, 1.0)), stretch
 
 
 def cmd_gen(args) -> int:
@@ -190,21 +185,22 @@ def cmd_attack(args) -> int:
     model = load_model(args.model)
     result = pgd_attack(model, image, config)
 
-    # metrics before any write, so a failure leaves no artifact on disk
+    # every artifact before the first write, so a failure leaves none on disk
     image_id = os.path.splitext(os.path.basename(args.image))[0]
     row = bench.result_row(image_id, args.eps, result, image, free, mask)
+    delta_viz, delta_stretch = _stretched(result.perturbation)
+    norm_viz, norm_stretch = _stretched(
+        metrics.normalized_perturbation_map(result.perturbation, image))
+    table = bench.csv_text([row], extra_comments=(
+        f"# delta_viz_stretch {bench.fmt_value(delta_stretch)}",
+        f"# normmap_stretch {bench.fmt_value(norm_stretch)}"))
 
     prefix = args.out_prefix
     ext = "pgm" if image.channels == 1 else "ppm"
     save_pnm(result.attacked_image, f"{prefix}_attacked.{ext}")
-    delta_stretch = _write_stretched(result.perturbation,
-                                     f"{prefix}_delta_viz.{ext}")
-    norm_map = metrics.normalized_perturbation_map(result.perturbation, image)
-    norm_stretch = _write_stretched(norm_map, f"{prefix}_normmap.{ext}")
-    bench.write_csv(f"{prefix}.csv", [row], extra_comments=(
-        f"# delta_viz_stretch {bench.fmt_value(delta_stretch)}",
-        f"# normmap_stretch {bench.fmt_value(norm_stretch)}",
-    ))
+    save_pnm(delta_viz, f"{prefix}_delta_viz.{ext}")
+    save_pnm(norm_viz, f"{prefix}_normmap.{ext}")
+    write_atomic(f"{prefix}.csv", table)
     print(f"attacked {args.image}: objective "
           f"{result.objective_trace[-1]:.6g}, wrote {prefix}.csv")
     return EXIT_OK
@@ -236,7 +232,7 @@ def cmd_bench(args) -> int:
 
 
 def cmd_gradcheck(args) -> int:
-    names = ZOO_NAMES if args.model == "all" else (args.model,)
+    names = ZOO if args.model == "all" else (args.model,)
     worst_name, worst = None, None
     failures = []
     for mi, name in enumerate(names):

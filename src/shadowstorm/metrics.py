@@ -179,11 +179,8 @@ def perturbation_norms(delta: np.ndarray, image: Image) -> PerturbationNorms:
     linf_normalized is the max over pixels of |delta_i| / max(I_i, 1/255),
     i.e. the sup norm of the normalized perturbation map.
     """
-    if delta.shape != image.shape:
-        raise ValueError(
-            f"delta shape {delta.shape} does not match image shape {image.shape}")
+    normalized = normalized_perturbation_map(delta, image)
     abs_delta = np.abs(delta)
-    normalized = abs_delta / effective_intensity(image)
     return PerturbationNorms(
         l1_mean=float(np.mean(abs_delta)),
         linf=float(abs_delta.max()),

@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from shadowstorm import attack
-from shadowstorm.attack import (AttackConfig, BudgetBox, NonFiniteGradientError,
-                                _step_size, budget_box,
+from shadowstorm.attack import (STEP_DIVISOR, AttackConfig, BudgetBox,
+                                NonFiniteGradientError, _radius, budget_box,
                                 equivalent_uniform_budget, init_delta,
                                 pgd_attack, verify_l1_bound)
 from shadowstorm.imagecore import INTENSITY_FLOOR, Image
@@ -51,13 +51,6 @@ class TestBudgetBox:
             assert np.all(large.lower <= small.lower)
             assert np.all(small.upper <= large.upper)
 
-    def test_degenerate_flag(self):
-        tight = BudgetBox(lower=np.zeros((2, 2, 1)), upper=np.zeros((2, 2, 1)))
-        assert tight.is_degenerate
-        img = interior_image(2)
-        box = budget_box(img, AttackConfig(mode="uniform", epsilon=0.1))
-        assert not box.is_degenerate
-
     def test_invariant_lower_le_zero_le_upper(self):
         img = Image(Xoshiro256StarStar(3).fill((6, 6, 3)))  # includes extremes
         for mode in ("uniform", "adaptive"):
@@ -73,7 +66,8 @@ SMALL_DELTA = np.full((2, 2, 1), 0.25)
 
 @pytest.mark.parametrize("use,expected", [
     (lambda: budget_box(BLACK, ADAPTIVE).upper, 0.5 * INTENSITY_FLOOR),
-    (lambda: _step_size(BLACK, ADAPTIVE), (0.5 / 4.0) * INTENSITY_FLOOR),
+    (lambda: _radius(BLACK, ADAPTIVE) / STEP_DIVISOR,
+     (0.5 / 4.0) * INTENSITY_FLOOR),
     (lambda: perturbation_norms(SMALL_DELTA, BLACK).linf_normalized,
      0.25 / INTENSITY_FLOOR),
     (lambda: normalized_perturbation_map(SMALL_DELTA, BLACK),
@@ -367,6 +361,8 @@ class TestBudgetEquivalence:
             equivalent_uniform_budget(img, 0.0)
         with pytest.raises(ValueError):
             equivalent_uniform_budget(img, 1.0)
+        with pytest.raises(ValueError, match="epsilon_a must lie"):
+            equivalent_uniform_budget(img, 5e-324)
 
 
 class TestL1Bound:

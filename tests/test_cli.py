@@ -8,7 +8,7 @@ import sys
 import numpy as np
 import pytest
 
-from shadowstorm import cli
+from shadowstorm import bench, cli, metrics
 from shadowstorm.cli import main, parse_budget, parse_size
 from shadowstorm.imagecore import Image, ShadowMask, load_pnm, save_mask, save_pnm
 from shadowstorm.models import (PARAMS_MAGIC, load_params, model_tinycnn,
@@ -100,7 +100,7 @@ class TestParsers:
         assert parse_budget("0.05") == 0.05
 
     def test_budget_rejects_out_of_range(self):
-        for bad in ("0", "1", "-0.1", "2/2", "abc"):
+        for bad in ("0", "1", "-0.1", "2/2", "abc", "5e-324", "1e-310"):
             with pytest.raises(ValueError):
                 parse_budget(bad)
 
@@ -322,6 +322,41 @@ class TestAttack:
         assert "output is not finite" in capsys.readouterr().err
         assert os.listdir(out) == []
 
+    @pytest.mark.parametrize("target", [
+        (metrics, "normalized_perturbation_map"), (cli, "_stretched"),
+        (bench, "csv_text")], ids=["normmap", "stretch", "csv"])
+    def test_failing_artifact_usage_error_before_any_write(
+            self, dataset_dir, tmp_path, monkeypatch, capsys, target):
+        """Every artifact is made before the first one is written."""
+        def fail(*_args, **_kwargs):
+            raise ValueError("injected failure")
+        monkeypatch.setattr(*target, fail)
+        out = tmp_path / "out"
+        out.mkdir()
+        rc = main(["attack", "--mode", "adaptive", "--eps", "4/255",
+                   "--iters", "1",
+                   "--image", str(dataset_dir / "shadow_0000.ppm"),
+                   "--out-prefix", str(out / "x")])
+        assert rc == 2
+        assert "injected failure" in capsys.readouterr().err
+        assert os.listdir(out) == []
+
+    @pytest.mark.skipif(sys.platform != "linux",
+                        reason="needs a file name that is not UTF-8")
+    def test_image_name_outside_utf8_usage_error_before_any_write(
+            self, tmp_path, capsys):
+        # the image name goes into the CSV, which is UTF-8
+        image = tmp_path / os.fsdecode(b"img\xff.pgm")
+        save_pnm(Image(np.full((16, 16, 1), 0.5)), image)
+        out = tmp_path / "out"
+        out.mkdir()
+        rc = main(["attack", "--mode", "uniform", "--eps", "4/255",
+                   "--iters", "1", "--image", str(image),
+                   "--out-prefix", str(out / "x")])
+        assert rc == 2
+        assert "surrogates not allowed" in capsys.readouterr().err
+        assert os.listdir(out) == []
+
     @pytest.mark.parametrize("value", ["0", "-1", "nan", "inf"])
     def test_bad_step_div_usage_error_before_any_work(
             self, dataset_dir, tmp_path, monkeypatch, capsys, value):
@@ -516,7 +551,7 @@ class TestBench:
         """Exit 4 needs no row and only numeric failures (the test above);
         rows next to a numeric failure, or any non-numeric one, exit 1."""
         import numpy as np
-        from shadowstorm import cli
+        from shadowstorm import bench, cli, metrics
         from shadowstorm.models import model_identity
         from shadowstorm.synthdata import load_triplet_dir
 
@@ -961,18 +996,21 @@ class TestModelLoading:
         assert main(argv + ["--model", str(path)]) == 3
         assert os.listdir(tmp_path) == ["m.sspm"]
 
-    def test_unknown_model_usage_error(self, dataset_dir, tmp_path):
+    def test_unknown_model_usage_error(self, dataset_dir, tmp_path, capsys):
         rc = main(["attack", "--mode", "uniform", "--eps", "2/255",
                    "--model", "resnet50",
                    "--image", str(dataset_dir / "shadow_0000.ppm"),
                    "--out-prefix", str(tmp_path / "x")])
         assert rc == 2
+        assert capsys.readouterr().err == (
+            "error: unknown model 'resnet50': expected one of ('identity', "
+            "'gainmap', 'tinycnn') or a parameter file\n")
 
 
 MEMORY_PROBE = """
 import resource, sys
 import numpy as np
-from shadowstorm import cli
+from shadowstorm import bench, cli, metrics
 assert cli.main(["gen", "--count", "1", "--size", "32x32",
                  "--out", sys.argv[1]]) == 0
 np.ones(1 << 18)  # the heap grows once to hold a 2 MB array
