@@ -11,7 +11,8 @@ Each flag's rule is its argparse ``type`` (:func:`at_least`,
 abbreviated or retired one, exits 2 while the arguments are parsed, before
 any file is read. An output whose directory does not exist exits 2 before
 any input is read. Each input image is checked once, by
-:func:`metrics.check_scorable`, before the model loads.
+:func:`metrics.check_scorable`, before the model loads, and against the
+channel count the loaded model takes before any attack.
 """
 
 from __future__ import annotations
@@ -31,7 +32,8 @@ from .models import (ParamsError, load_params, model_gainmap, model_identity,
                      model_tinycnn, model_tinycnn_from_params, probe_gradients,
                      save_params, train_toy)
 from .rng import derive_seed
-from .synthdata import SynthConfig, TripletDirError, gen_dataset, load_triplet_dir
+from .synthdata import (SynthConfig, TripletDirError, gen_dataset,
+                        load_triplet_dir, triplet_paths)
 
 EXIT_OK = 0
 EXIT_PARTIAL = 1
@@ -140,6 +142,25 @@ def _check_scorable(image: Image, mask: ShadowMask | None, what: str) -> None:
         raise UsageError(f"{what}: {exc}") from None
 
 
+def _check_channels(model, identifier: str, images) -> None:
+    """Usage error, naming the file and the model, unless the loaded model
+    takes the channel count of every (path, image) in `images`: checked
+    before any attack or training. A model that declares no ``channels``
+    takes any count."""
+    channels = getattr(model, "channels", None)
+    for path, image in images:
+        if channels not in (None, image.channels):
+            raise UsageError(f"{path}: model {identifier} takes "
+                             f"{channels}-channel images, got "
+                             f"{image.channels}")
+
+
+def _shadow_files(directory: str, triplets):
+    """(shadow file path, shadow image) of each loaded triplet."""
+    return ((triplet_paths(directory, index)[0], triplet.shadow)
+            for index, triplet in triplets)
+
+
 def _check_dir(flag: str, path: str) -> None:
     """Usage error, naming `flag`, when the directory that `path` is
     written into does not exist: the write would fail after all the work."""
@@ -183,6 +204,7 @@ def cmd_attack(args) -> int:
     config = AttackConfig(mode=args.mode, epsilon=args.eps,
                           iterations=args.iters, seed=args.seed)
     model = load_model(args.model)
+    _check_channels(model, args.model, [(args.image, image)])
     result = pgd_attack(model, image, config)
 
     # every artifact before the first write, so a failure leaves none on disk
@@ -217,6 +239,7 @@ def cmd_bench(args) -> int:
     for index, triplet in triplets:
         _check_scorable(triplet.shadow, triplet.mask, f"triplet {index:04d}")
     model = load_model(args.model)
+    _check_channels(model, args.model, _shadow_files(args.dataset, triplets))
     rows, failures = bench.run_sweep(
         model, triplets, args.budgets, args.modes, equalize=args.equalize,
         iterations=args.iters, seed=args.seed, jobs=args.jobs)
@@ -268,6 +291,7 @@ def cmd_train(args) -> int:
         raise UsageError(f"no triplets in {args.dataset}")
     dataset = [(t.shadow, t.shadow_free) for _, t in triplets]
     model = model_tinycnn(seed=args.seed)
+    _check_channels(model, "tinycnn", _shadow_files(args.dataset, triplets))
     losses: list[float] = []
     params = train_toy(model, dataset, epochs=args.epochs, lr=args.lr,
                        on_epoch=lambda _e, loss: losses.append(loss))

@@ -15,8 +15,10 @@ identity map (analytic test target), an illumination gain-map corrector,
 and a tiny residual CNN with a toy full-batch trainer. Zoo parameters are
 constant tensors over read-only arrays and never carry gradient state, so
 attacks differentiate the input only; :func:`train_toy` differentiates
-fresh leaf tensors over them each epoch and stores the step through
-``load_state``.
+fresh leaf tensors over them each epoch, accumulates the full-batch
+gradient one image at a time, and stores the step through ``load_state``.
+A zoo model declares in ``channels`` the channel count it takes (None for
+any), so the CLI can reject an image before any attack.
 """
 
 from __future__ import annotations
@@ -58,10 +60,12 @@ class DiffModel(Protocol):
 class TapeModel:
     """Base for zoo models: implements the capability pair on top of a
     tensor-level ``forward_t(x, params)``. ``LAYOUT`` names the parameter
-    tensors and their shapes."""
+    tensors and their shapes; ``channels`` is the channel count of the
+    images the model takes, None for any."""
 
     name = "tape"
     LAYOUT: Sequence[tuple[str, tuple[int, ...]]] = ()
+    channels: int | None = None
 
     def __init__(self):
         self.params: dict[str, Tensor] = {}
@@ -176,6 +180,7 @@ class TinyCnnModel(TapeModel):
         ("k2", (3, 3, 8, 8)), ("b2", (8,)),
         ("k3", (3, 3, 8, 3)), ("b3", (3,)),
     )
+    channels = dict(LAYOUT)["k1"][2]
 
     def __init__(self, params: Mapping[str, np.ndarray], seed: int = 0):
         super().__init__()
@@ -253,9 +258,16 @@ def train_toy(model: TapeModel,
     with no momentum keeps the run deterministic; the trainer draws no
     randomness, so the model's initialization seed fixes the whole run.
     Each epoch differentiates fresh leaf tensors over the parameters and
-    stores the step through ``load_state``. Returns the model's final
-    read-only parameter arrays; per-epoch losses go to `on_epoch` and the
-    module logger.
+    stores the step through ``load_state``. The full-batch gradient is
+    accumulated one image at a time: each image's loss term is walked back,
+    seeded with the cotangent 1 / len(dataset) that the mean would hand
+    it, as soon as its forward ends, so only one image's tape is alive at
+    a time. The leaves sum the images' shares in dataset order, the order
+    a walk of the whole mean's tape reaches them, so gradients and losses
+    keep their bits. A non-finite running loss raises
+    :class:`DivergenceError` before that term's walk and any step. Returns
+    the model's final read-only parameter arrays; per-epoch losses go to
+    `on_epoch` and the module logger.
     """
     if not dataset:
         raise ValueError("training dataset must be non-empty")
@@ -266,23 +278,25 @@ def train_toy(model: TapeModel,
                 f"dataset pair {i} has mismatched shapes "
                 f"{shadow.shape} vs {free.shape}")
     n_values = int(np.prod(shape))
+    weight = 1.0 / len(dataset)
+    seed = np.asarray(weight)  # each term's cotangent in the mean's tape
 
     for epoch in range(epochs):
         leaves = {name: Tensor(p.data, requires_grad=True)
                   for name, p in model.params.items()}
-        loss: Tensor | None = None
+        total = 0.0
         for shadow, free in dataset:
-            pred = model.forward_t(Tensor(shadow.data), leaves)
-            err = ad.sub(pred, Tensor(free.data))
-            term = ad.smul(ad.sqnorm(err), 1.0 / n_values)
-            loss = term if loss is None else ad.add(loss, term)
-        loss = ad.smul(loss, 1.0 / len(dataset))
-        value = float(loss.data)
-        if not np.isfinite(value):
-            raise DivergenceError(
-                f"training loss became non-finite at epoch {epoch}; "
-                f"try a smaller lr than {lr}")
-        loss.backward()
+            # only `term` outlives its walk, which frees the image's tape
+            term = ad.smul(ad.sqnorm(ad.sub(
+                model.forward_t(Tensor(shadow.data), leaves),
+                Tensor(free.data))), 1.0 / n_values)
+            total += float(term.data)
+            if not math.isfinite(total):
+                raise DivergenceError(
+                    f"training loss became non-finite at epoch {epoch}; "
+                    f"try a smaller lr than {lr}")
+            term.backward(seed)
+        value = total * weight
         model.load_state({name: leaf.data - lr * leaf.grad
                           for name, leaf in leaves.items()})
         log.debug("epoch %d loss %.6g", epoch, value)

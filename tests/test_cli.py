@@ -37,14 +37,16 @@ def forbid_dataset_load(monkeypatch):
     monkeypatch.setattr(cli, "load_triplet_dir", load_triplet_dir)
 
 
-def forbid_attack(monkeypatch):
-    from shadowstorm import bench
-
+def forbid_pgd(monkeypatch):
     def pgd_attack(*_args, **_kwargs):
         pytest.fail("an attack ran before the inputs were validated")
-    forbid_model_load(monkeypatch)
     monkeypatch.setattr(cli, "pgd_attack", pgd_attack)
     monkeypatch.setattr(bench, "pgd_attack", pgd_attack)
+
+
+def forbid_attack(monkeypatch):
+    forbid_model_load(monkeypatch)
+    forbid_pgd(monkeypatch)
 
 
 def param_arrays(model):
@@ -77,6 +79,23 @@ def copy_dataset(source, target):
     for name in os.listdir(source):
         (target / name).write_bytes((source / name).read_bytes())
     return target
+
+
+def gray_triplet(data, index):
+    """Rewrite triplet `index` of `data` with single-channel (P5) shadow
+    and shadow-free data under their .ppm names. Returns the shadow path."""
+    for kind in ("shadow", "free"):
+        path = data / f"{kind}_{index:04d}.ppm"
+        save_pnm(Image(load_pnm(path).data.mean(axis=2, keepdims=True)), path)
+    return data / f"shadow_{index:04d}.ppm"
+
+
+@pytest.fixture
+def tinycnn_models(tmp_path):
+    """--model values of a 3-channel model: the zoo name and a .sspm."""
+    path = tmp_path / "m.sspm"
+    save_params(param_arrays(model_tinycnn(seed=6)), path)
+    return ["tinycnn", str(path)]
 
 
 # (a stray file's name, the member name of its index) for names of a
@@ -406,6 +425,22 @@ class TestAttack:
         assert "--free" in capsys.readouterr().err
         assert os.listdir(out) == []
 
+    def test_gray_image_on_three_channel_model_usage_error_before_attack(
+            self, tmp_path, monkeypatch, capsys, tinycnn_models):
+        gray = tmp_path / "gray.pgm"
+        save_pnm(Image(np.full((16, 16, 1), 0.5)), gray)
+        forbid_pgd(monkeypatch)
+        for model in tinycnn_models:
+            out = tmp_path / f"out{len(model)}"
+            out.mkdir()
+            rc = main(["attack", "--mode", "uniform", "--eps", "4/255",
+                       "--model", model, "--image", str(gray),
+                       "--out-prefix", str(out / "x")])
+            assert rc == 2
+            assert (f"error: {gray}: model {model} takes 3-channel images, "
+                    "got 1\n") == capsys.readouterr().err
+            assert os.listdir(out) == []
+
     def test_missing_image_is_io_error(self, tmp_path):
         rc = main(["attack", "--mode", "uniform", "--eps", "0.1",
                    "--image", str(tmp_path / "nope.ppm"),
@@ -726,6 +761,33 @@ class TestBench:
         assert "triplet 0001" in capsys.readouterr().err
         assert os.listdir(out) == []
 
+    def test_gray_triplet_on_three_channel_model_usage_error_before_attack(
+            self, dataset_dir, tmp_path, monkeypatch, capsys, tinycnn_models):
+        data = copy_dataset(dataset_dir, tmp_path / "data")
+        shadow = gray_triplet(data, 1)
+        forbid_pgd(monkeypatch)
+        for model in tinycnn_models:
+            out = tmp_path / f"out{len(model)}"
+            out.mkdir()
+            rc = main(["bench", "--dataset", str(data), "--model", model,
+                       "--out", str(out / "r.csv")])
+            assert rc == 2
+            assert (f"error: {shadow}: model {model} takes 3-channel images, "
+                    "got 1\n") == capsys.readouterr().err
+            assert os.listdir(out) == []
+
+    @pytest.mark.parametrize("model", ["identity", "gainmap"])
+    def test_any_channel_model_sweeps_gray_triplet(
+            self, dataset_dir, tmp_path, model):
+        data = copy_dataset(dataset_dir, tmp_path / "data")
+        gray_triplet(data, 1)
+        rc = main(["bench", "--dataset", str(data), "--model", model,
+                   "--budgets", "4/255", "--modes", "uniform", "--iters", "1",
+                   "--out", str(tmp_path / "r.csv")])
+        assert rc == 0
+        lines = (tmp_path / "r.csv").read_text().splitlines()
+        assert len([l for l in lines if l and not l.startswith("#")]) == 1 + 3
+
     def test_threaded_sweep_leaves_parameters_untouched(self, dataset_dir):
         from shadowstorm import bench
         from shadowstorm.synthdata import load_triplet_dir
@@ -918,6 +980,23 @@ class TestTrain:
         assert rc == 3
         assert f"{data / name}: not a triplet file name, expected {expected}" \
             in capsys.readouterr().err
+        assert os.listdir(out) == []
+
+    def test_gray_triplet_usage_error_before_training(
+            self, dataset_dir, tmp_path, monkeypatch, capsys):
+        data = copy_dataset(dataset_dir, tmp_path / "data")
+        shadow = gray_triplet(data, 2)
+
+        def train_toy(*_args, **_kwargs):
+            pytest.fail("training ran before the inputs were validated")
+        monkeypatch.setattr(cli, "train_toy", train_toy)
+        out = tmp_path / "out"
+        out.mkdir()
+        rc = main(["train", "--dataset", str(data), "--epochs", "1",
+                   "--out", str(out / "p.sspm")])
+        assert rc == 2
+        assert (f"error: {shadow}: model tinycnn takes 3-channel images, "
+                "got 1\n") == capsys.readouterr().err
         assert os.listdir(out) == []
 
     def test_empty_dataset_usage_error(self, tmp_path):

@@ -1,5 +1,7 @@
 import gc
+import re
 import struct
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -114,6 +116,14 @@ class TestTinyCnn:
         img = random_image(16, lo=0.0, hi=1.0)
         out = model_tinycnn(seed=3).forward(img)
         assert out.data.min() >= 0.0 and out.data.max() <= 1.0
+
+    def test_channel_contract(self):
+        # tinycnn takes the input channels of its first kernel; gainmap
+        # and identity take any count
+        assert TinyCnnModel.channels == dict(TinyCnnModel.LAYOUT)["k1"][2] == 3
+        assert model_tinycnn(seed=1).channels == 3
+        assert model_gainmap().channels is None
+        assert model_identity().channels is None
 
     def test_conv_kernels_have_several_channels_each_way(self):
         # Cout = 1 (or Cin = 1 in the input VJP) sends conv2d down
@@ -339,11 +349,58 @@ class ScaleModel(TapeModel):
         return ad.mul(x, params["w"])
 
 
+class NanSecondTermModel(ScaleModel):
+    """ScaleModel whose second image of epoch `bad_epoch` gives NaN. A
+    hand-built rule on top of each forward records which forwards (counted
+    over all epochs) were walked back."""
+
+    def __init__(self, bad_epoch, images):
+        super().__init__()
+        self.bad = bad_epoch * images + 1
+        self.forwards = 0
+        self.walked: list[int] = []
+
+    def forward_t(self, x, params):
+        index, self.forwards = self.forwards, self.forwards + 1
+        out = super().forward_t(x, params)
+
+        def rule(g):
+            self.walked.append(index)
+            out._accumulate(g)
+        data = np.full(out.data.shape, np.nan) if index == self.bad else out.data
+        return Tensor(data, requires_grad=True, _parents=(out,),
+                      _backward=rule)
+
+
 def make_dataset(seed=7, count=32, size=32, blur=4):
     cfg = SynthConfig(seed=seed, count=count, height=size, width=size,
                       blur_radius=blur)
     return [(t.shadow, t.shadow_free)
             for t in (gen_triplet(cfg, i) for i in range(count))]
+
+
+def train_full_batch(model, dataset, epochs, lr):
+    """The full-batch epoch that train_toy streams: one tape over every
+    image's loss term, scaled by 1 / len(dataset), walked back once. Kept
+    here only as the reference of train_toy's bits. Returns the final
+    parameter arrays and the epoch losses."""
+    n_values = int(np.prod(dataset[0][0].shape))
+    losses = []
+    for _ in range(epochs):
+        leaves = {name: Tensor(p.data, requires_grad=True)
+                  for name, p in model.params.items()}
+        loss = None
+        for shadow, free in dataset:
+            pred = model.forward_t(Tensor(shadow.data), leaves)
+            err = ad.sub(pred, Tensor(free.data))
+            term = ad.smul(ad.sqnorm(err), 1.0 / n_values)
+            loss = term if loss is None else ad.add(loss, term)
+        loss = ad.smul(loss, 1.0 / len(dataset))
+        losses.append(float(loss.data))
+        loss.backward()
+        model.load_state({name: leaf.data - lr * leaf.grad
+                          for name, leaf in leaves.items()})
+    return param_arrays(model), losses
 
 
 class TestTrainToy:
@@ -386,6 +443,69 @@ class TestTrainToy:
         (w,) = model.params.values()
         assert w.data[0] != 2.0  # the epochs before the blow-up stepped
         assert not w.requires_grad and w.grad is None
+
+    @pytest.mark.parametrize("epoch", [0, 1])
+    def test_divergence_stops_at_the_first_non_finite_term(self, epoch):
+        data = make_dataset(count=3)
+        model = NanSecondTermModel(bad_epoch=epoch, images=3)
+        message = (f"training loss became non-finite at epoch {epoch}; "
+                   "try a smaller lr than 0.05")
+        with pytest.raises(DivergenceError, match=re.escape(message)):
+            train_toy(model, data, epochs=epoch + 2, lr=0.05)
+        # the NaN term's forward ends the epoch, and its walk never ran
+        assert model.forwards == 3 * epoch + 2
+        assert model.walked == list(range(3 * epoch + 1))
+        # the diverging epoch stepped no parameter
+        stepped = train_toy(ScaleModel(), data, epochs=epoch, lr=0.05)
+        assert model.params["w"].data.tobytes() == stepped["w"].tobytes()
+
+    @pytest.mark.parametrize("make,count", [
+        (lambda: model_tinycnn(seed=0), 3), (ScaleModel, 2)],
+        ids=["tinycnn", "scale"])
+    def test_bits_of_the_full_batch_tape(self, make, count):
+        data = make_dataset(count=count)  # 32x32 images
+        expected, expected_losses = train_full_batch(make(), data, 3, 0.05)
+        losses = []
+        params = train_toy(make(), data, epochs=3, lr=0.05,
+                           on_epoch=lambda _e, v: losses.append(v))
+        assert sorted(params) == sorted(expected)
+        for name in expected:
+            assert params[name].tobytes() == expected[name].tobytes()
+        assert [struct.pack("<d", v) for v in losses] \
+            == [struct.pack("<d", v) for v in expected_losses]
+
+    def test_each_image_tape_dead_before_next_forward(self):
+        model = model_tinycnn(seed=0)
+        preds, alive = [], []
+        forward_t = model.forward_t
+
+        def probed(x, params):
+            alive.append([p() is not None for p in preds])
+            out = forward_t(x, params)
+            preds.append(weakref.ref(out))
+            return out
+        model.forward_t = probed
+        gc.disable()
+        try:
+            train_toy(model, make_dataset(count=3), epochs=2, lr=0.05)
+        finally:
+            gc.enable()
+        # at each forward's start no earlier image's prediction is alive
+        assert alive == [[False] * i for i in range(6)]
+
+    def test_peak_memory_flat_in_dataset_size(self):
+        def peak_mib(count):
+            data = make_dataset(count=count, size=64)
+            model = model_tinycnn(seed=0)
+            tracemalloc.start()
+            try:
+                entry = tracemalloc.get_traced_memory()[0]
+                train_toy(model, data, epochs=3, lr=0.2)
+                return (tracemalloc.get_traced_memory()[1] - entry) / 2**20
+            finally:
+                tracemalloc.stop()
+        small, large = peak_mib(2), peak_mib(12)
+        assert large <= 1.25 * small, (small, large)
 
     def test_empty_dataset_rejected(self):
         with pytest.raises(ValueError, match="non-empty"):
