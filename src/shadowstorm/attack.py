@@ -167,6 +167,7 @@ def pgd_attack(model: DiffModel, image: Image, config: AttackConfig,
     for t in range(config.iterations):
         out, pullback = model.vjp(np.clip(image.data + delta, 0.0, 1.0))
         value, cotangent = attack_objective(anchor.data, out)
+        del out  # read only by the objective; freed before the pullback
         if not np.isfinite(value):
             raise NonFiniteGradientError(
                 f"non-finite objective at iteration {t} of {config.mode} "
@@ -178,7 +179,7 @@ def pgd_attack(model: DiffModel, image: Image, config: AttackConfig,
                 f"non-finite gradient at iteration {t} of {config.mode} "
                 f"attack (eps={config.epsilon:g})")
         delta = np.clip(delta + step * np.sign(grad), box.lower, box.upper)
-        del out, pullback, cotangent, grad  # only delta outlives iteration t
+        del pullback, cotangent, grad  # only delta outlives iteration t
         if on_iteration is not None:
             on_iteration(t, delta)
 

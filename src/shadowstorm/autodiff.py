@@ -107,12 +107,15 @@ class Tensor:
         A tape can only be walked once; build a fresh graph to re-derive.
 
         The walk frees the tape as it goes: each node is popped off it and
-        drops its backward closure and parents before its rule runs, and an
-        interior node (one with a rule) drops its gradient once the rule
-        has run. The walk so holds only the nodes not yet reached and the
-        gradient frontier; only leaves keep ``.grad``. A model's pullback
-        still holds its output node, which would otherwise keep the whole
-        tape alive as long as the pullback.
+        drops its backward closure and parents before its rule runs. An
+        interior node (one with a rule) also hands its gradient to the rule
+        and is itself released before the rule runs: a rule reads only its
+        parents' values, and every child of the node has already run, so
+        the node's value is freed unless the caller still holds the node.
+        The walk so holds only the nodes not yet reached and the gradient
+        frontier; only leaves keep ``.grad``. A model's pullback still holds
+        its output node, which would otherwise keep the whole tape alive as
+        long as the pullback.
         """
         if self._backward_done:
             raise RuntimeError("backward called twice on the same tape; "
@@ -145,10 +148,13 @@ class Tensor:
         while topo:
             node = topo.pop()
             rule, node._backward, node._parents = node._backward, None, ()
+            if rule is None:
+                continue  # a leaf keeps its gradient
+            grad, node.grad = node.grad, None
+            del node
             # a hand-built rule may leave a parent without a gradient
-            if rule is not None and node.grad is not None:
-                rule(node.grad)
-                node.grad = None
+            if grad is not None:
+                rule(grad)
 
 
 def _make(data: np.ndarray, *rules: tuple[Tensor, Callable]) -> Tensor:

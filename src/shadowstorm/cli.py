@@ -12,7 +12,9 @@ abbreviated or retired one, exits 2 while the arguments are parsed, before
 any file is read. An output whose directory does not exist exits 2 before
 any input is read. Each input image is checked once, by
 :func:`metrics.check_scorable`, before the model loads, and against the
-channel count the loaded model takes before any attack.
+channel count the loaded model takes before any attack. Under ``bench
+--equalize`` each image's equalized uniform budgets pass
+:func:`attack.check_budget` before the model loads, too.
 """
 
 from __future__ import annotations
@@ -25,7 +27,8 @@ import sys
 import numpy as np
 
 from . import autodiff, bench, metrics
-from .attack import MODES, AttackConfig, check_budget, pgd_attack
+from .attack import (MODE_UNIFORM, MODES, AttackConfig, check_budget,
+                     equivalent_uniform_budget, pgd_attack)
 from .imagecore import (Image, PnmError, ShadowMask, load_mask, load_pnm,
                         save_pnm, write_atomic)
 from .models import (ParamsError, load_params, model_gainmap, model_identity,
@@ -142,6 +145,19 @@ def _check_scorable(image: Image, mask: ShadowMask | None, what: str) -> None:
         raise UsageError(f"{what}: {exc}") from None
 
 
+def _check_equalized(image: Image, budgets, what: str) -> None:
+    """Usage error, naming `what` and the budget, unless every budget's
+    equalized uniform budget on `image` passes check_budget: checked before
+    any attack. An all-black image equalizes every budget to 0."""
+    for eps in budgets:
+        try:
+            check_budget(equivalent_uniform_budget(image, eps),
+                         f"{what}: equalized uniform budget of "
+                         f"{bench.fmt_epsilon(eps)}")
+        except ValueError as exc:
+            raise UsageError(str(exc)) from None
+
+
 def _check_channels(model, identifier: str, images) -> None:
     """Usage error, naming the file and the model, unless the loaded model
     takes the channel count of every (path, image) in `images`: checked
@@ -238,6 +254,9 @@ def cmd_bench(args) -> int:
         raise UsageError(f"no triplets in {args.dataset}")
     for index, triplet in triplets:
         _check_scorable(triplet.shadow, triplet.mask, f"triplet {index:04d}")
+        if args.equalize and MODE_UNIFORM in args.modes:
+            _check_equalized(triplet.shadow, args.budgets,
+                             f"triplet {index:04d}")
     model = load_model(args.model)
     _check_channels(model, args.model, _shadow_files(args.dataset, triplets))
     rows, failures = bench.run_sweep(

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -124,31 +124,40 @@ def _filter_valid(a: np.ndarray) -> np.ndarray:
     return sliding_window_view(rows, SSIM_WINDOW, axis=1) @ _SSIM_TAP
 
 
-def _ssim_maps(references: Sequence[Image], y: Image) -> list[np.ndarray]:
+def _ssim_maps(references: Sequence[Image], y: Image) -> Iterator[np.ndarray]:
     """The ssim_map of each reference against `y`, with the filtered mean
-    and variance of `y` computed once for them all."""
+    and variance of `y` computed once for them all. The checks run at the
+    call; each map is built only when the iterator reaches it, so a caller
+    that is done with one map before it asks for the next holds one at a
+    time."""
     for x in references:
         _check_pair(x, y)
     check_scorable(y)
-    c1, c2 = SSIM_K1 ** 2, SSIM_K2 ** 2
     yd = y.data
     mu_y = _filter_valid(yd)
     sig_y = _filter_valid(yd * yd) - mu_y * mu_y
-    maps = []
-    for x in references:
-        xd = x.data
-        mu_x = _filter_valid(xd)
-        sig_x = _filter_valid(xd * xd) - mu_x * mu_x
-        sig_xy = _filter_valid(xd * yd) - mu_x * mu_y
-        num = (2.0 * mu_x * mu_y + c1) * (2.0 * sig_xy + c2)
-        den = (mu_x * mu_x + mu_y * mu_y + c1) * (sig_x + sig_y + c2)
-        maps.append(num / den)
-    return maps
+    return (_ssim_map_of(x.data, yd, mu_y, sig_y) for x in references)
+
+
+def _ssim_map_of(xd: np.ndarray, yd: np.ndarray, mu_y: np.ndarray,
+                 sig_y: np.ndarray) -> np.ndarray:
+    """One SSIM map from `y`'s filtered statistics. The covariance is
+    released once the numerator has read it, the other statistics of `x`
+    on return, and the denominator divides the numerator in place."""
+    c1, c2 = SSIM_K1 ** 2, SSIM_K2 ** 2
+    mu_x = _filter_valid(xd)
+    sig_x = _filter_valid(xd * xd) - mu_x * mu_x
+    sig_xy = _filter_valid(xd * yd) - mu_x * mu_y
+    num = (2.0 * mu_x * mu_y + c1) * (2.0 * sig_xy + c2)
+    del sig_xy
+    den = (mu_x * mu_x + mu_y * mu_y + c1) * (sig_x + sig_y + c2)
+    num /= den
+    return num
 
 
 def ssim_map(x: Image, y: Image) -> np.ndarray:
     """Dense per-pixel SSIM of valid windows: (H-10, W-10, C)."""
-    return _ssim_maps([x], y)[0]
+    return next(_ssim_maps([x], y))
 
 
 def ssim(x: Image, y: Image) -> float:
@@ -159,11 +168,16 @@ def ssim(x: Image, y: Image) -> float:
 def region_ssim(references: Sequence[Image], y: Image, mask: ShadowMask
                 ) -> list[tuple[float, float, float]]:
     """SSIM of `y` against each reference over all, shadow and non-shadow
-    window centers."""
+    window centers. Each map is reduced to its three region means before
+    the next one is built, so one map is alive at a time."""
     maps = _ssim_maps(references, y)
     centers = _regions(mask, y.shape[:2], _SSIM_MARGIN)
-    return [tuple(float(np.mean(smap[select])) for select in centers)
-            for smap in maps]
+
+    def region_means(smap: np.ndarray) -> tuple[float, float, float]:
+        return tuple(float(np.mean(smap[select])) for select in centers)
+    # map() drops each map before it asks for the next; a comprehension's
+    # loop variable would hold it while the next one is built
+    return list(map(region_means, maps))
 
 
 @dataclass(frozen=True)

@@ -258,7 +258,8 @@ def train_toy(model: TapeModel,
     with no momentum keeps the run deterministic; the trainer draws no
     randomness, so the model's initialization seed fixes the whole run.
     Each epoch differentiates fresh leaf tensors over the parameters and
-    stores the step through ``load_state``. The full-batch gradient is
+    stores the step through ``load_state``; a tensor that received no
+    gradient keeps its value. The full-batch gradient is
     accumulated one image at a time: each image's loss term is walked back,
     seeded with the cotangent 1 / len(dataset) that the mean would hand
     it, as soon as its forward ends, so only one image's tape is alive at
@@ -297,7 +298,8 @@ def train_toy(model: TapeModel,
                     f"try a smaller lr than {lr}")
             term.backward(seed)
         value = total * weight
-        model.load_state({name: leaf.data - lr * leaf.grad
+        model.load_state({name: leaf.data if leaf.grad is None
+                          else leaf.data - lr * leaf.grad
                           for name, leaf in leaves.items()})
         log.debug("epoch %d loss %.6g", epoch, value)
         if on_epoch is not None:

@@ -313,6 +313,30 @@ class TestPgdConstraints:
             gc.enable()
         assert alive == [(t + 1, False, False) for t in range(3)]
 
+    def test_output_array_dead_before_pullback(self):
+        # the objective is the output array's last reader, so it is freed
+        # before the pullback walks the tape
+        dead = []
+
+        class Probe(GainMapModel):
+            def vjp(self, x):
+                out, pullback = super().vjp(x)
+                ref = weakref.ref(out)
+
+                def probed(cotangent):
+                    dead.append(ref() is None)
+                    return pullback(cotangent)
+                return out, probed
+
+        gc.disable()
+        try:
+            pgd_attack(Probe(), interior_image(24, shape=(12, 12, 3)),
+                       AttackConfig(mode="adaptive", epsilon=0.05,
+                                    iterations=3))
+        finally:
+            gc.enable()
+        assert dead == [True] * 3
+
     def test_parameters_untouched_by_attack(self):
         model = model_tinycnn(seed=5)
         before = {name: p.data.copy() for name, p in model.params.items()}

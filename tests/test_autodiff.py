@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -51,6 +54,28 @@ class TestBasics:
         x = Tensor(np.array([0.0, 0.5, 1.0, -0.2, 1.3]), requires_grad=True)
         ad.tsum(ad.clamp01(x)).backward()
         assert np.array_equal(x.grad, [0.0, 1.0, 0.0, 0.0, 0.0])
+
+    def test_interior_node_released_before_its_rule_runs(self):
+        # a rule reads only its parents' values, so the walk releases the
+        # node itself first; gc is off, so only reference counts free it
+        leaf = Tensor(np.array([1.0, 2.0]), requires_grad=True)
+        seen = []
+
+        def rule(g):
+            seen.append(node() is None)
+            leaf._accumulate(g * leaf.data)
+        mid = Tensor(leaf.data * 3.0, requires_grad=True, _parents=(leaf,),
+                     _backward=rule)
+        node = weakref.ref(mid)
+        loss = ad.tsum(mid)
+        del mid
+        gc.disable()
+        try:
+            loss.backward()
+        finally:
+            gc.enable()
+        assert seen == [True]
+        assert np.array_equal(leaf.grad, [1.0, 2.0])
 
     def test_broadcast_channel_gain(self):
         rng = Xoshiro256StarStar(2)

@@ -761,6 +761,28 @@ class TestBench:
         assert "triplet 0001" in capsys.readouterr().err
         assert os.listdir(out) == []
 
+    def test_black_triplet_equalized_budget_usage_error_before_model_load(
+            self, dataset_dir, tmp_path, monkeypatch, capsys):
+        # a black image's equalized uniform budget is 0, below the floor;
+        # an adaptive-only sweep equalizes nothing and runs
+        data = copy_dataset(dataset_dir, tmp_path / "data")
+        black = load_pnm(data / "shadow_0001.ppm").data * 0.0
+        save_pnm(Image(black), data / "shadow_0001.ppm")
+        argv = ["bench", "--dataset", str(data), "--budgets", "4/255,8/255",
+                "--iters", "1", "--equalize"]
+        with monkeypatch.context() as patched:
+            forbid_model_load(patched)
+            out = tmp_path / "out"
+            out.mkdir()
+            assert main(argv + ["--out", str(out / "r.csv")]) == 2
+            assert capsys.readouterr().err == (
+                "error: triplet 0001: equalized uniform budget of "
+                "0.0156862745 must lie in (0, 1) with a normal smallest step "
+                "(about 2.27e-305 or more), got 0.0\n")
+            assert os.listdir(out) == []
+        assert main(argv + ["--modes", "adaptive",
+                            "--out", str(tmp_path / "a.csv")]) == 0
+
     def test_gray_triplet_on_three_channel_model_usage_error_before_attack(
             self, dataset_dir, tmp_path, monkeypatch, capsys, tinycnn_models):
         data = copy_dataset(dataset_dir, tmp_path / "data")

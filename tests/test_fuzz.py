@@ -278,12 +278,20 @@ def test_attack_edge_budgets(edge_images, tmp_path, capsys, budget, mode):
                          ids=EDGE_BUDGETS.keys())
 def test_bench_edge_budgets(edge_dataset, tmp_path, capsys, budget, equalize):
     """Each edge budget through a sweep of both modes. With --equalize the
-    uniform budget of the black image, 0, fails its cells, as does an
-    equalized budget below the floor: the sweep exits 1."""
+    uniform budget of the black image is 0, below the floor: the sweep
+    exits 2 naming that triplet and the budget before any attack, and
+    writes nothing."""
     out = tmp_path / "out"
     out.mkdir()
-    rc = run_edge(["bench", "--dataset", str(edge_dataset), "--budgets",
-                   repr(budget), "--iters", "2", "--out", str(out / "r.csv")]
-                  + ["--equalize"] * equalize, out, capsys, budget,
-                  "--budgets")
-    assert rc == (2 if budget < FLOOR else 1 if equalize else 0)
+    argv = ["bench", "--dataset", str(edge_dataset), "--budgets",
+            repr(budget), "--iters", "2", "--out", str(out / "r.csv")]
+    if not equalize or budget < FLOOR:
+        rc = run_edge(argv + ["--equalize"] * equalize, out, capsys, budget,
+                      "--budgets")
+        assert rc == (2 if budget < FLOOR else 0)
+        return
+    assert main(argv + ["--equalize"]) == 2
+    err = capsys.readouterr().err
+    assert (f"triplet 0000: equalized uniform budget of "
+            f"{format(budget, '.9g')} must lie in (0, 1)") in err
+    assert os.listdir(out) == []

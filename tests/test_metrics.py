@@ -1,9 +1,11 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from shadowstorm import bench
 from shadowstorm.attack import AttackConfig, pgd_attack
 from shadowstorm.imagecore import Image, ShadowMask
 from shadowstorm.metrics import (EmptyRegionError, check_scorable,
@@ -205,6 +207,36 @@ class TestRegionTriples:
             region_psnr(x, y, mask)
         with pytest.raises(ValueError, match="does not match image shape"):
             region_ssim([x], y, mask)
+
+    def test_checks_run_before_any_map_in_order(self):
+        # pair shapes, then the SSIM window, then the mask's regions
+        x, y = random_pair(20, shape=(16, 16, 3))
+        bad_mask = checker_mask(16, 17)
+        other = Image(np.zeros((16, 15, 3)))
+        small = Image(np.zeros((10, 16, 3)))
+        for refs, test, match in (([x, other], y, "shapes differ"),
+                                  ([small], small, "smaller than"),
+                                  ([x], y, "does not match image shape")):
+            with pytest.raises(ValueError, match=match):
+                region_ssim(refs, test, bad_mask)
+
+    def test_region_metrics_peak_memory(self):
+        # each SSIM map is reduced to its region means before the next is
+        # built, and its covariance is freed once the numerator has read
+        # it; at 128x128 the peak above entry measured 9.6 image arrays
+        # with both maps alive and 6.3 with one
+        triplet = gen_triplet(SynthConfig(seed=32, count=1, height=128,
+                                          width=128), 0)
+        test = Image(np.clip(triplet.shadow.data * 1.1, 0.0, 1.0))
+        references = [triplet.shadow_free, triplet.shadow]
+        tracemalloc.start()
+        try:
+            entry = tracemalloc.get_traced_memory()[0]
+            bench.region_metrics(references, test, triplet.mask)
+            peak = tracemalloc.get_traced_memory()[1] - entry
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8.0 * test.data.nbytes, peak / test.data.nbytes
 
 
 class TestPerturbationNorms:

@@ -507,6 +507,24 @@ class TestTrainToy:
         small, large = peak_mib(2), peak_mib(12)
         assert large <= 1.25 * small, (small, large)
 
+    def test_tensor_without_gradient_keeps_its_value(self):
+        class UnreadModel(ScaleModel):
+            """ScaleModel with a second tensor that forward_t never reads."""
+            LAYOUT = (("w", (1,)), ("unread", (2,)))
+
+            def __init__(self):
+                TapeModel.__init__(self)
+                self.load_state({"w": np.array([2.0]),
+                                 "unread": np.array([0.25, -0.5])})
+
+        data = [(random_image(3, shape=(4, 4, 3)),
+                 random_image(4, shape=(4, 4, 3)))]
+        params = train_toy(UnreadModel(), data, epochs=2, lr=0.05)
+        assert params["unread"].tobytes() == np.array([0.25, -0.5]).tobytes()
+        stepped = train_toy(ScaleModel(), data, epochs=2, lr=0.05)
+        assert params["w"].tobytes() == stepped["w"].tobytes()
+        assert params["w"][0] != 2.0
+
     def test_empty_dataset_rejected(self):
         with pytest.raises(ValueError, match="non-empty"):
             train_toy(model_tinycnn(seed=0), [], epochs=1, lr=0.05)
