@@ -13,6 +13,14 @@ left is a constant, and the one backward rule sums each share back over
 broadcast axes and accumulates it. The tape so links only tensors that
 need a gradient.
 
+Ownership: a vjp returns either g itself or a new array that nothing else
+holds. The backward rule hands such a new array (one that owns its memory
+and is writable) to its parent, whose first gradient takes it in place;
+g passed through (which ``add``'s two parents both receive), views
+(broadcasts, a convolution's padded interior) and 0-d numpy scalars are
+copied, as is every gradient given to ``_accumulate`` directly. A seed
+is never written.
+
 The primitive set is deliberately small and holds only what the model zoo
 and its trainer use: element-wise add/sub/mul/div and scaling, relu,
 clamp, 2-D convolution (stride 1, zero-padded to same size), depthwise
@@ -86,15 +94,19 @@ class Tensor:
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
 
-    def _accumulate(self, g: np.ndarray) -> None:
+    def _accumulate(self, g: np.ndarray, owned: bool = False) -> None:
         """Add `g` of this tensor's shape to the gradient. A first gradient
-        is a new array, g + 0.0: the bits of zeros + g, as -0.0 + 0.0 = +0.0."""
+        has the bits of g + 0.0, those of zeros + g, as -0.0 + 0.0 = +0.0.
+        With `owned` it is `g` itself, made so in place: the backward rule
+        hands over a new array that a vjp made and nothing else holds (the
+        module's ownership rule). Otherwise (a passed-through cotangent, a
+        view, a 0-d scalar, a direct call) it is a copy."""
         if g.shape != self.data.shape:
             raise ShapeMismatchError(
                 f"gradient shape {g.shape} does not match tensor shape "
                 f"{self.data.shape}")
         if self.grad is None:
-            self.grad = g + 0.0
+            self.grad = np.add(g, 0.0, out=g) if owned else g + 0.0
         else:
             self.grad += g
 
@@ -113,9 +125,10 @@ class Tensor:
         parents' values, and every child of the node has already run, so
         the node's value is freed unless the caller still holds the node.
         The walk so holds only the nodes not yet reached and the gradient
-        frontier; only leaves keep ``.grad``. A model's pullback still holds
-        its output node, which would otherwise keep the whole tape alive as
-        long as the pullback.
+        frontier, one array per edge: a rule's new share becomes its
+        parent's gradient without a copy (see the module's ownership rule),
+        and `seed` is copied, never written. Only leaves keep ``.grad``.
+        With `seed` the root's value is not read, only its shape.
         """
         if self._backward_done:
             raise RuntimeError("backward called twice on the same tape; "
@@ -163,14 +176,18 @@ def _make(data: np.ndarray, *rules: tuple[Tensor, Callable]) -> Tensor:
     broadcast output shape. Only parents that need a gradient are kept: with
     none the output is a constant; otherwise they alone are its tape parents,
     and its one backward rule sums each share down to its parent's shape and
-    accumulates it, in rule order."""
+    accumulates it, in rule order, handing over a share that is a new array
+    (see the module's ownership rule)."""
     rules = tuple((p, vjp) for p, vjp in rules if p.requires_grad)
     if not rules:
         return Tensor(data)
 
     def back(g):
         for parent, vjp in rules:
-            parent._accumulate(_unbroadcast(vjp(g), parent.data.shape))
+            share = _unbroadcast(vjp(g), parent.data.shape)
+            parent._accumulate(share, share is not g and share.base is None
+                               and share.flags.writeable)
+            del share  # a copied view would keep its base past the next vjp
     return Tensor(data, requires_grad=True,
                   _parents=tuple(p for p, _ in rules), _backward=back)
 

@@ -8,7 +8,8 @@ Every model exposes exactly two capabilities consumed by the attacks:
     ``pullback(cotangent) -> ndarray``, the vector-Jacobian product of the
     forward map with an upstream cotangent array. A pullback runs once,
     and its backward walk frees each tape node as it consumes it: only the
-    input leaf keeps a gradient, the one it returns.
+    input leaf keeps a gradient, the one it returns. It holds the output
+    node's rule, parents and shape, not its value.
 
 Anything implementing that pair can be attacked; the bundled zoo holds an
 identity map (analytic test target), an illumination gain-map corrector,
@@ -81,13 +82,18 @@ class TapeModel:
             ) -> tuple[np.ndarray, Callable[[np.ndarray], np.ndarray]]:
         leaf = Tensor(x, requires_grad=True)
         out = self.forward_t(leaf, self.params)
+        data = self._output(out)
+        if out._backward is not None:
+            # the walk reads the root's rule, parents and shape, not its value
+            out = Tensor(np.broadcast_to(0.0, out.data.shape), True,
+                         out._parents, out._backward)
 
         def pullback(cotangent: np.ndarray) -> np.ndarray:
             out.backward(cotangent)
             if leaf.grad is None:
                 return np.zeros_like(leaf.data)
             return leaf.grad
-        return self._output(out), pullback
+        return data, pullback
 
     def _output(self, out: Tensor) -> np.ndarray:
         """The clamped output; NaN in it is a numeric failure, not bad input."""

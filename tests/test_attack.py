@@ -337,6 +337,19 @@ class TestPgdConstraints:
             gc.enable()
         assert dead == [True] * 3
 
+    def test_pgd_attack_peak_memory(self, traced_peak):
+        # the backward walk hands each new gradient share to its tensor
+        # without a copy and the pullback holds no output value; at
+        # 128x128 the peak above entry measured 14.5 image arrays with
+        # copied first gradients and the output value held, and 12.8 with
+        # neither
+        image = gen_triplet(SynthConfig(seed=33, count=1, height=128,
+                                        width=128), 0).shadow
+        model = model_gainmap()
+        config = AttackConfig(mode="adaptive", epsilon=16 / 255, iterations=3)
+        peak = traced_peak(lambda: pgd_attack(model, image, config))
+        assert peak <= 13.5 * image.data.nbytes, peak / image.data.nbytes
+
     def test_parameters_untouched_by_attack(self):
         model = model_tinycnn(seed=5)
         before = {name: p.data.copy() for name, p in model.params.items()}

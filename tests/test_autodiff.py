@@ -233,6 +233,65 @@ class TestChannelSumBytes:
             == np.sum(a, axis=2, keepdims=True).tobytes()
 
 
+class TestOwnership:
+    """A vjp's new share becomes its tensor's gradient without a copy;
+    a passed-through cotangent, a view or a 0-d scalar is copied."""
+
+    @staticmethod
+    def disjoint(*arrays):
+        return not any(np.shares_memory(a, b) for i, a in enumerate(arrays)
+                       for b in arrays[i + 1:])
+
+    def test_gradients_share_no_memory(self):
+        rng = Xoshiro256StarStar(3)
+        seed = rng.fill((4, 5))
+        kept = seed.copy()
+        for op in (ad.add, ad.sub, ad.mul):
+            a = Tensor(rng.fill((4, 5)), requires_grad=True)
+            b = Tensor(rng.fill((4, 5)), requires_grad=True)
+            op(a, b).backward(seed)
+            assert self.disjoint(a.grad, b.grad, seed, a.data, b.data), op
+        assert np.array_equal(a.grad, seed * b.data)
+        for op in (ad.add, ad.mul):
+            x = Tensor(rng.fill((4, 5)), requires_grad=True)
+            op(x, x).backward(seed)
+            assert self.disjoint(x.grad, seed, x.data), op
+        assert x.grad.tobytes() == (seed * x.data + seed * x.data).tobytes()
+        assert seed.tobytes() == kept.tobytes()
+
+    def test_fresh_share_taken_in_place_with_the_bits_of_a_copy(self):
+        share = np.array([-0.0, 1.5, -0.0, -2.0])
+        x = Tensor(np.zeros(4), requires_grad=True)
+        ad._make(np.zeros(4), (x, lambda g: share)).backward(np.ones(4))
+        assert x.grad is share
+        assert x.grad.tobytes() == np.array([0.0, 1.5, 0.0, -2.0]).tobytes()
+        # a product's -0.0 entries, as a first gradient, become +0.0
+        a = Tensor(np.zeros(4), requires_grad=True)
+        b = np.array([-1.0, 2.0, -0.0, 3.0])
+        seed = np.array([0.0, -0.0, 1.0, 1.0])
+        ad.mul(a, Tensor(b)).backward(seed)
+        assert a.grad.tobytes() == (seed * b + 0.0).tobytes()
+        assert np.signbit(seed * b).any() and not np.signbit(a.grad[:3]).any()
+
+    @pytest.mark.parametrize("op", ["tsum", "mean_channels", "blur2d",
+                                    "conv2d"])
+    def test_views_reach_grad_as_copies(self, op):
+        x = Tensor(Xoshiro256StarStar(5).fill((6, 7, 3)), requires_grad=True)
+        out = {"tsum": lambda: ad.tsum(x),
+               "mean_channels": lambda: ad.mean_channels(x),
+               "blur2d": lambda: ad.blur2d(x, ad.box_kernel(1)),
+               "conv2d": lambda: ad.conv2d(x, Tensor(np.ones((3, 3, 3, 2))),
+                                           Tensor(np.zeros(2)))}[op]()
+        out.backward(np.ones(out.data.shape))
+        assert x.grad.base is None and x.grad.flags.writeable
+        assert x.grad.shape == x.data.shape
+
+    def test_scalar_shares_reach_grad(self):
+        s = Tensor(np.asarray(2.0), requires_grad=True)
+        ad.sqnorm(ad.smul(s, 3.0)).backward()
+        assert float(s.grad) == 36.0
+
+
 class TestErrors:
     def test_accumulate_checks_shape_and_copies(self):
         t = Tensor(np.zeros((2, 3)), requires_grad=True)

@@ -1,5 +1,4 @@
 import math
-import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -220,7 +219,7 @@ class TestRegionTriples:
             with pytest.raises(ValueError, match=match):
                 region_ssim(refs, test, bad_mask)
 
-    def test_region_metrics_peak_memory(self):
+    def test_region_metrics_peak_memory(self, traced_peak):
         # each SSIM map is reduced to its region means before the next is
         # built, and its covariance is freed once the numerator has read
         # it; at 128x128 the peak above entry measured 9.6 image arrays
@@ -229,13 +228,8 @@ class TestRegionTriples:
                                           width=128), 0)
         test = Image(np.clip(triplet.shadow.data * 1.1, 0.0, 1.0))
         references = [triplet.shadow_free, triplet.shadow]
-        tracemalloc.start()
-        try:
-            entry = tracemalloc.get_traced_memory()[0]
-            bench.region_metrics(references, test, triplet.mask)
-            peak = tracemalloc.get_traced_memory()[1] - entry
-        finally:
-            tracemalloc.stop()
+        peak = traced_peak(
+            lambda: bench.region_metrics(references, test, triplet.mask))
         assert peak <= 8.0 * test.data.nbytes, peak / test.data.nbytes
 
 

@@ -1,7 +1,6 @@
 import gc
 import re
 import struct
-import tracemalloc
 import weakref
 
 import numpy as np
@@ -223,6 +222,35 @@ class TestVjp:
         pullback(np.ones((16, 16, 3)))
         with pytest.raises(RuntimeError, match="twice"):
             pullback(np.ones((16, 16, 3)))
+
+    def test_pullback_holds_no_output_value(self):
+        # the walk reads the root's rule, parents and shape; gc is off, so
+        # only reference counts free the output node's value
+        seen = []
+
+        class Probe(models.GainMapModel):
+            def forward_t(self, x, params):
+                out = super().forward_t(x, params)
+                value, rule = weakref.ref(out.data), out._backward
+
+                def probed(g):
+                    seen.append(value() is None)
+                    rule(g)
+                out._backward = probed
+                return out
+
+        img = random_image(42)
+        gc.disable()
+        try:
+            _, pullback = Probe().vjp(img.data)
+            grad = pullback(np.ones(img.shape))
+        finally:
+            gc.enable()
+        assert seen == [True]
+        # the walk from the output node itself gives the same bytes
+        leaf = Tensor(img.data, requires_grad=True)
+        model_gainmap().forward_t(leaf, {}).backward(np.ones(img.shape))
+        assert grad.tobytes() == leaf.grad.tobytes()
 
     def test_train_freezes_params_again(self):
         model = model_tinycnn(seed=4)
@@ -493,17 +521,12 @@ class TestTrainToy:
         # at each forward's start no earlier image's prediction is alive
         assert alive == [[False] * i for i in range(6)]
 
-    def test_peak_memory_flat_in_dataset_size(self):
+    def test_peak_memory_flat_in_dataset_size(self, traced_peak):
         def peak_mib(count):
             data = make_dataset(count=count, size=64)
             model = model_tinycnn(seed=0)
-            tracemalloc.start()
-            try:
-                entry = tracemalloc.get_traced_memory()[0]
-                train_toy(model, data, epochs=3, lr=0.2)
-                return (tracemalloc.get_traced_memory()[1] - entry) / 2**20
-            finally:
-                tracemalloc.stop()
+            return traced_peak(
+                lambda: train_toy(model, data, epochs=3, lr=0.2)) / 2**20
         small, large = peak_mib(2), peak_mib(12)
         assert large <= 1.25 * small, (small, large)
 
