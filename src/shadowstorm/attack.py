@@ -220,9 +220,6 @@ class L1BoundReport:
     first_violation: tuple[int, ...] | None = None
     violation_excess: float = 0.0
 
-    def __bool__(self) -> bool:
-        return self.ok
-
 
 def verify_l1_bound(delta: np.ndarray, image: Image, epsilon_a: float
                     ) -> L1BoundReport:

@@ -22,12 +22,12 @@ copied, as is every gradient given to ``_accumulate`` directly. A seed
 is never written.
 
 The primitive set is deliberately small and holds only what the model zoo
-and its trainer use: element-wise add/sub/mul/div and scaling, relu,
-clamp, 2-D convolution (stride 1, zero-padded to same size), depthwise
-blur with a fixed kernel, the channel mean, the sum and the squared l2
-norm. Primitives are module-level functions; Tensor has no operator
-overloads. Images and feature maps are (height, width, channels) arrays;
-scalars are 0-d.
+and its trainer use: element-wise add/sub/mul/div, relu, clamp, 2-D
+convolution (stride 1, zero-padded to same size), depthwise blur with a
+fixed kernel, the channel mean, the sum and the squared l2 norm.
+Primitives are module-level functions; Tensor has no operator
+overloads, and a constant factor c is ``mul(a, Tensor(c))``. Images and
+feature maps are (height, width, channels) arrays; scalars are 0-d.
 
 Gradient conventions (documented because they matter for attacks):
   * clamp is straight-through strictly inside its bounds, 0 at and beyond;
@@ -214,10 +214,6 @@ def div(a: Tensor, b: Tensor) -> Tensor:
                  (b, lambda g: -g * a.data / (b.data * b.data)))
 
 
-def smul(a: Tensor, scalar: float) -> Tensor:
-    return _make(a.data * scalar, (a, lambda g: g * scalar))
-
-
 def relu(a: Tensor) -> Tensor:
     return _make(np.maximum(a.data, 0.0), (a, lambda g: g * (a.data > 0.0)))
 
@@ -226,10 +222,6 @@ def clamp(a: Tensor, lo: float, hi: float) -> Tensor:
     """Clip to [lo, hi]; gradient passes only strictly inside the bounds."""
     return _make(np.clip(a.data, lo, hi),
                  (a, lambda g: g * ((a.data > lo) & (a.data < hi))))
-
-
-def clamp01(a: Tensor) -> Tensor:
-    return clamp(a, 0.0, 1.0)
 
 
 def tsum(a: Tensor) -> Tensor:

@@ -142,7 +142,7 @@ class SweepFailure:
 
 
 def run_sweep(model: DiffModel, triplets: list[tuple[int, Triplet]],
-              budgets, modes, *, equalize: bool = False, iterations: int = 20,
+              budgets, modes, *, iterations: int, equalize: bool = False,
               seed: int = 0, jobs: int = 1
               ) -> tuple[list[ResultRow], list[SweepFailure]]:
     """Attack every (image, mode, budget) cell; continue past failures.

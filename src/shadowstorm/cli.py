@@ -31,9 +31,9 @@ from .attack import (MODE_UNIFORM, MODES, AttackConfig, check_budget,
                      equivalent_uniform_budget, pgd_attack)
 from .imagecore import (Image, PnmError, ShadowMask, load_mask, load_pnm,
                         save_pnm, write_atomic)
-from .models import (ParamsError, load_params, model_gainmap, model_identity,
-                     model_tinycnn, model_tinycnn_from_params, probe_gradients,
-                     save_params, train_toy)
+from .models import (GainMapModel, IdentityModel, ParamsError, TinyCnnModel,
+                     load_params, model_tinycnn, probe_gradients, save_params,
+                     train_toy)
 from .rng import derive_seed
 from .synthdata import (SynthConfig, TripletDirError, gen_dataset,
                         load_triplet_dir, triplet_paths)
@@ -45,7 +45,7 @@ EXIT_IO = 3
 EXIT_NUMERIC = 4
 EXIT_VALIDATION = 5
 
-ZOO = {"identity": model_identity, "gainmap": model_gainmap,
+ZOO = {"identity": IdentityModel, "gainmap": GainMapModel,
        "tinycnn": model_tinycnn}
 
 # glibc mallopt parameters; a fixed threshold also stops glibc's dynamic one
@@ -131,7 +131,7 @@ def load_model(identifier: str):
     if identifier in ZOO:
         return ZOO[identifier]()
     if os.path.exists(identifier):
-        return model_tinycnn_from_params(load_params(identifier))
+        return TinyCnnModel(load_params(identifier))
     raise UsageError(f"unknown model {identifier!r}: expected one of "
                      f"{tuple(ZOO)} or a parameter file")
 
@@ -146,16 +146,13 @@ def _check_scorable(image: Image, mask: ShadowMask | None, what: str) -> None:
 
 
 def _check_equalized(image: Image, budgets, what: str) -> None:
-    """Usage error, naming `what` and the budget, unless every budget's
-    equalized uniform budget on `image` passes check_budget: checked before
-    any attack. An all-black image equalizes every budget to 0."""
+    """ValueError (exit 2), naming `what` and the budget, unless every
+    budget's equalized uniform budget on `image` passes check_budget,
+    checked before any attack. An all-black image equalizes all to 0."""
     for eps in budgets:
-        try:
-            check_budget(equivalent_uniform_budget(image, eps),
-                         f"{what}: equalized uniform budget of "
-                         f"{bench.fmt_epsilon(eps)}")
-        except ValueError as exc:
-            raise UsageError(str(exc)) from None
+        check_budget(equivalent_uniform_budget(image, eps),
+                     f"{what}: equalized uniform budget of "
+                     f"{bench.fmt_epsilon(eps)}")
 
 
 def _check_channels(model, identifier: str, images) -> None:
@@ -345,7 +342,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=MODES, required=True)
     p.add_argument("--eps", type=parse_budget, required=True,
                    help="budget, e.g. 16/255 or 0.0627")
-    p.add_argument("--iters", type=at_least(1), default=20)
+    p.add_argument("--iters", type=at_least(1), default=AttackConfig.iterations)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--model", default="gainmap")
     p.add_argument("--image", required=True)
@@ -362,7 +359,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--modes", type=parse_modes, default=",".join(MODES))
     p.add_argument("--equalize", action="store_true",
                    help="per-image uniform budget = eps * mean intensity")
-    p.add_argument("--iters", type=at_least(1), default=20)
+    p.add_argument("--iters", type=at_least(1), default=AttackConfig.iterations)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--jobs", type=at_least(1), default=1)
     p.add_argument("--out", required=True)

@@ -90,17 +90,6 @@ class ShadowMask:
         frozen.flags.writeable = False
         object.__setattr__(self, "data", frozen)
 
-    @property
-    def height(self) -> int:
-        return self.data.shape[0]
-
-    @property
-    def width(self) -> int:
-        return self.data.shape[1]
-
-    def matches(self, image: Image) -> bool:
-        return (self.height, self.width) == (image.height, image.width)
-
 
 def quantize(values: np.ndarray) -> np.ndarray:
     """Map [0,1] floats to bytes: round(v * 255), ties away from zero."""

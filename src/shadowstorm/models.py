@@ -165,12 +165,12 @@ class GainMapModel(TapeModel):
     def forward_t(self, x: Tensor, params: Mapping[str, Tensor]) -> Tensor:
         h, w = x.data.shape[0], x.data.shape[1]
         lum = ad.mean_channels(x)
-        mu = ad.smul(ad.tsum(lum), 1.0 / (h * w))
+        mu = ad.mul(ad.tsum(lum), Tensor(1.0 / (h * w)))
         smooth = ad.mul(ad.blur2d(lum, self._kernel),
                         Tensor(_inverse_border_weight(h, w, self.blur_radius)))
         gain = ad.clamp(ad.div(mu, ad.add(smooth, Tensor(GAIN_DENOM_EPS))),
                         1.0, self.max_gain)
-        return ad.clamp01(ad.mul(x, gain))
+        return ad.clamp(ad.mul(x, gain), 0.0, 1.0)
 
 
 class TinyCnnModel(TapeModel):
@@ -197,25 +197,13 @@ class TinyCnnModel(TapeModel):
         h1 = ad.relu(ad.conv2d(x, params["k1"], params["b1"]))
         h2 = ad.relu(ad.conv2d(h1, params["k2"], params["b2"]))
         res = ad.conv2d(h2, params["k3"], params["b3"])
-        return ad.clamp01(ad.add(x, res))
-
-
-def model_identity() -> IdentityModel:
-    return IdentityModel()
-
-
-def model_gainmap(blur_radius: int = 4, max_gain: float = 4.0) -> GainMapModel:
-    return GainMapModel(blur_radius, max_gain)
+        return ad.clamp(ad.add(x, res), 0.0, 1.0)
 
 
 def model_tinycnn(seed: int = 0) -> TinyCnnModel:
     rng = Xoshiro256StarStar(seed)
     return TinyCnnModel({pname: rng.fill_uniform(shape, -0.1, 0.1)
                          for pname, shape in TinyCnnModel.LAYOUT}, seed)
-
-
-def model_tinycnn_from_params(params: Mapping[str, np.ndarray]) -> TinyCnnModel:
-    return TinyCnnModel(params)
 
 
 def probe_gradients(model: TapeModel, seed: int, inputs: int,
@@ -294,9 +282,9 @@ def train_toy(model: TapeModel,
         total = 0.0
         for shadow, free in dataset:
             # only `term` outlives its walk, which frees the image's tape
-            term = ad.smul(ad.sqnorm(ad.sub(
+            term = ad.mul(ad.sqnorm(ad.sub(
                 model.forward_t(Tensor(shadow.data), leaves),
-                Tensor(free.data))), 1.0 / n_values)
+                Tensor(free.data))), Tensor(1.0 / n_values))
             total += float(term.data)
             if not math.isfinite(total):
                 raise DivergenceError(

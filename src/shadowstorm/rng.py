@@ -137,8 +137,6 @@ class Xoshiro256StarStar:
         for _ in range(4):
             out, s = _splitmix64(s)
             state.append(out)
-        if not any(state):  # all-zero state is a fixed point; cannot occur
-            state[0] = 1    # from splitmix64 in practice, guarded anyway
         self._s = state
 
     def next_u64(self) -> int:

@@ -287,7 +287,7 @@ def load_triplet_dir(directory) -> list[tuple[int, Triplet]]:
         shadow = load_pnm(shadow_path)
         mask = load_mask(mask_path)
         free = load_pnm(free_path)
-        if shadow.shape != free.shape or not mask.matches(shadow):
+        if shadow.shape != free.shape or mask.data.shape != shadow.shape[:2]:
             raise TripletDirError(
                 f"triplet {index:04d} has inconsistent shapes: {shadow_path} "
                 f"{shadow.shape}, {free_path} {free.shape}, {mask_path} "

@@ -67,7 +67,7 @@ def sweep_rows(trained_cnn, bench_triplets):
     """Unequalized budget sweep per model, the Fig.-2-shaped experiment."""
     out = {}
     for name, model in (("cnn", trained_cnn),
-                        ("gainmap", models.model_gainmap(**GAINMAP_FIXTURE))):
+                        ("gainmap", models.GainMapModel(**GAINMAP_FIXTURE))):
         rows, failures = bench.run_sweep(
             model, bench_triplets, BUDGET_SWEEP, ["uniform", "adaptive"],
             equalize=False, iterations=20, seed=SWEEP_SEED)
@@ -77,8 +77,8 @@ def sweep_rows(trained_cnn, bench_triplets):
 
 
 def zoo_for_audit():
-    return (models.model_identity(),
-            models.model_gainmap(blur_radius=2, max_gain=3.0),
+    return (models.IdentityModel(),
+            models.GainMapModel(blur_radius=2, max_gain=3.0),
             models.model_tinycnn(seed=42))
 
 
@@ -134,7 +134,7 @@ def test_criterion_02_mean_l1_budget_bound():
     if results is None:  # criterion 1 not run first; regenerate a sample
         results = []
         rng = Xoshiro256StarStar(77)
-        model = models.model_gainmap(blur_radius=2)
+        model = models.GainMapModel(blur_radius=2)
         for run in range(50):
             image = Image(rng.fill((12, 12, 3)))
             config = AttackConfig(mode="adaptive",
@@ -211,7 +211,7 @@ def test_criterion_05_identity_fixed_point():
                                                           0.1, 0.9))
         config = AttackConfig(mode="uniform", epsilon=eps, iterations=20,
                               seed=seed)
-        result = pgd_attack(models.model_identity(), img, config)
+        result = pgd_attack(models.IdentityModel(), img, config)
         delta0 = init_delta(budget_box(img, config), seed=seed)
         moving = delta0 != 0.0
         assert moving.all()  # continuous draws never start at exactly 0
@@ -258,7 +258,7 @@ def test_criterion_07_budget_sweep_trend(sweep_rows, trained_cnn,
     """Mean attacked PSNR non-increasing in the budget for every model,
     mode and region; at 16/255 the drop from clean exceeds 3 dB."""
     started = time.time()
-    gainmap = models.model_gainmap(**GAINMAP_FIXTURE)
+    gainmap = models.GainMapModel(**GAINMAP_FIXTURE)
     drops = {}
     for name, model in (("cnn", trained_cnn), ("gainmap", gainmap)):
         per_image = [metrics.region_psnr(t.shadow_free,
@@ -293,7 +293,7 @@ def test_criterion_08_normalized_perturbation_split(trained_cnn):
                                 height=64, width=64, **DARK)
     triplets = [(i, synthdata.gen_triplet(cfg, i)) for i in range(DARK_COUNT)]
     eps_a = 16 / 255
-    for model in (trained_cnn, models.model_gainmap()):
+    for model in (trained_cnn, models.GainMapModel()):
         uni_s, uni_ns, ada_s, ada_ns = [], [], [], []
         for i, t in triplets:
             eps_u = equivalent_uniform_budget(t.shadow, eps_a)
@@ -321,7 +321,7 @@ def test_criterion_09_comparable_strength(trained_cnn, bench_triplets):
     """Budget-equalized uniform and adaptive attacks land within 1.5 dB
     mean PSNR of each other."""
     worst = 0.0
-    for model in (trained_cnn, models.model_gainmap(**GAINMAP_FIXTURE)):
+    for model in (trained_cnn, models.GainMapModel(**GAINMAP_FIXTURE)):
         rows, failures = bench.run_sweep(
             model, bench_triplets, [8 / 255, 16 / 255],
             ["uniform", "adaptive"], equalize=True, iterations=20,

@@ -13,8 +13,7 @@ from shadowstorm.attack import (STEP_DIVISOR, AttackConfig, BudgetBox,
 from shadowstorm.imagecore import INTENSITY_FLOOR, Image
 from shadowstorm.metrics import (normalized_perturbation_map,
                                  perturbation_norms, psnr)
-from shadowstorm.models import (GainMapModel, model_gainmap, model_identity,
-                                model_tinycnn)
+from shadowstorm.models import GainMapModel, IdentityModel, model_tinycnn
 from shadowstorm.rng import Xoshiro256StarStar
 from shadowstorm.synthdata import SynthConfig, gen_triplet
 
@@ -135,7 +134,7 @@ class TestPgdAttackIdentity:
         # interior pixels have faces at exactly +/- eps
         img = interior_image(6, shape=(6, 6, 3))
         config = AttackConfig(mode="uniform", epsilon=0.1, iterations=20, seed=3)
-        result = pgd_attack(model_identity(), img, config)
+        result = pgd_attack(IdentityModel(), img, config)
         delta0 = init_delta(budget_box(img, config), seed=3)
         moving = delta0 != 0.0
         assert np.all(np.abs(result.perturbation[moving]) == 0.1)
@@ -145,7 +144,7 @@ class TestPgdAttackIdentity:
         img = interior_image(7, shape=(5, 5, 3))
         config = AttackConfig(mode="uniform", epsilon=0.05, iterations=1,
                               seed=5)
-        result = pgd_attack(model_identity(), img, config)
+        result = pgd_attack(IdentityModel(), img, config)
         delta0 = init_delta(budget_box(img, config), seed=5)
         signs = np.sign(delta0)
         nonzero = signs != 0
@@ -154,7 +153,7 @@ class TestPgdAttackIdentity:
     def test_objective_is_l2_of_delta(self):
         img = interior_image(8)
         config = AttackConfig(mode="uniform", epsilon=0.07, iterations=3, seed=9)
-        result = pgd_attack(model_identity(), img, config)
+        result = pgd_attack(IdentityModel(), img, config)
         delta0 = init_delta(budget_box(img, config), seed=9)
         assert result.objective_trace[0] == pytest.approx(
             float(np.linalg.norm(delta0.ravel())), abs=1e-12)
@@ -175,7 +174,7 @@ class TestPgdConstraints:
             assert np.all(img.data + delta >= -1e-12)
             assert np.all(img.data + delta <= 1.0 + 1e-12)
 
-        pgd_attack(model_gainmap(blur_radius=2), img, config, on_iteration=audit)
+        pgd_attack(GainMapModel(blur_radius=2), img, config, on_iteration=audit)
         assert seen == list(range(8))
 
     def test_adaptive_normalized_constraint(self):
@@ -183,14 +182,14 @@ class TestPgdConstraints:
                                           width=32), 0)
         config = AttackConfig(mode="adaptive", epsilon=8 / 255, iterations=10,
                               seed=4)
-        result = pgd_attack(model_gainmap(), triplet.shadow, config)
+        result = pgd_attack(GainMapModel(), triplet.shadow, config)
         norms = perturbation_norms(result.perturbation, triplet.shadow)
         assert norms.linf_normalized <= 8 / 255 + 1e-9
 
     def test_optimized_beats_random_init(self):
         triplet = gen_triplet(SynthConfig(seed=13, count=1, height=32,
                                           width=32), 0)
-        model = model_gainmap()
+        model = GainMapModel()
         config = AttackConfig(mode="adaptive", epsilon=8 / 255, iterations=20,
                               seed=6)
         result = pgd_attack(model, triplet.shadow, config)
@@ -204,7 +203,7 @@ class TestPgdConstraints:
     def test_zero_budget_limit(self):
         img = interior_image(14)
         config = AttackConfig(mode="uniform", epsilon=1e-9, iterations=4, seed=1)
-        result = pgd_attack(model_identity(), img, config)
+        result = pgd_attack(IdentityModel(), img, config)
         assert np.abs(result.perturbation).max() <= 1e-9
 
     def test_deterministic_end_to_end(self):
@@ -222,7 +221,7 @@ class TestPgdConstraints:
     def test_trace_finite_one_entry_per_iteration(self):
         img = interior_image(16)
         config = AttackConfig(mode="uniform", epsilon=0.05, iterations=7, seed=2)
-        result = pgd_attack(model_gainmap(blur_radius=2), img, config)
+        result = pgd_attack(GainMapModel(blur_radius=2), img, config)
         assert len(result.objective_trace) == 7
         assert all(math.isfinite(v) for v in result.objective_trace)
 
@@ -277,7 +276,7 @@ class TestPgdConstraints:
         counts = []
         for iterations in (1, 8):
             del built[:]
-            pgd_attack(model_gainmap(), img, AttackConfig(
+            pgd_attack(GainMapModel(), img, AttackConfig(
                 mode="adaptive", epsilon=8 / 255, iterations=iterations))
             counts.append(len(built))
         assert counts[0] == counts[1]
@@ -345,7 +344,7 @@ class TestPgdConstraints:
         # neither
         image = gen_triplet(SynthConfig(seed=33, count=1, height=128,
                                         width=128), 0).shadow
-        model = model_gainmap()
+        model = GainMapModel()
         config = AttackConfig(mode="adaptive", epsilon=16 / 255, iterations=3)
         peak = traced_peak(lambda: pgd_attack(model, image, config))
         assert peak <= 13.5 * image.data.nbytes, peak / image.data.nbytes
@@ -360,7 +359,7 @@ class TestPgdConstraints:
             assert p.data.tobytes() == before[name].tobytes()
             assert p.grad is None
 
-    @pytest.mark.parametrize("make", [model_identity, model_gainmap,
+    @pytest.mark.parametrize("make", [IdentityModel, GainMapModel,
                                       lambda: model_tinycnn(seed=6)],
                              ids=["identity", "gainmap", "tinycnn"])
     def test_result_carries_clean_and_attacked_outputs(self, make):
@@ -436,7 +435,7 @@ class TestL1Bound:
         for eps_a in (2 / 255, 16 / 255):
             config = AttackConfig(mode="adaptive", epsilon=eps_a,
                                   iterations=10, seed=5)
-            result = pgd_attack(model_gainmap(), triplet.shadow, config)
+            result = pgd_attack(GainMapModel(), triplet.shadow, config)
             assert verify_l1_bound(result.perturbation, triplet.shadow, eps_a).ok
 
 
@@ -445,7 +444,7 @@ class TestGrayscale:
         img = Image(Xoshiro256StarStar(40).fill_uniform((16, 16, 1), 0.1, 0.9))
         config = AttackConfig(mode="adaptive", epsilon=8 / 255, iterations=6,
                               seed=3)
-        result = pgd_attack(model_gainmap(blur_radius=2), img, config)
+        result = pgd_attack(GainMapModel(blur_radius=2), img, config)
         assert result.perturbation.shape == (16, 16, 1)
         norms = perturbation_norms(result.perturbation, img)
         assert norms.linf_normalized <= 8 / 255 + 1e-9

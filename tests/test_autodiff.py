@@ -52,7 +52,7 @@ class TestBasics:
 
     def test_clamp_straight_through_strictly_inside(self):
         x = Tensor(np.array([0.0, 0.5, 1.0, -0.2, 1.3]), requires_grad=True)
-        ad.tsum(ad.clamp01(x)).backward()
+        ad.tsum(ad.clamp(x, 0.0, 1.0)).backward()
         assert np.array_equal(x.grad, [0.0, 1.0, 0.0, 0.0, 0.0])
 
     def test_interior_node_released_before_its_rule_runs(self):
@@ -286,9 +286,32 @@ class TestOwnership:
         assert x.grad.base is None and x.grad.flags.writeable
         assert x.grad.shape == x.data.shape
 
+    @pytest.mark.parametrize("shape", [(), (5, 4, 3)], ids=["0-d", "HxWxC"])
+    def test_constant_factor_has_the_bits_of_a_float_product(self, shape):
+        """mul by a 0-d constant tensor, as gainmap's mean and the trainer's
+        loss scale use it: forward and input gradient are the products
+        with the Python float bit for bit, and only the operand is taped."""
+        rng = Xoshiro256StarStar(12)
+        c = -1.0 / 3.0
+        x = rng.fill_uniform(shape, -1.0, 1.0)
+        g = rng.fill_uniform(shape, -1.0, 1.0)
+        a = Tensor(x, requires_grad=True)
+        out = ad.mul(a, Tensor(c))
+        assert out.data.tobytes() == (x * c).tobytes()
+        assert out._parents == (a,)
+        out.backward(g)
+        assert a.grad.tobytes() == (g * c).tobytes()
+        # +0.0 times a negative factor is a -0.0 share; a first gradient
+        # makes it +0.0
+        zeros = np.zeros(shape)
+        a = Tensor(x, requires_grad=True)
+        ad.mul(a, Tensor(c)).backward(zeros)
+        assert np.all(np.signbit(zeros * c))
+        assert a.grad.tobytes() == zeros.tobytes()
+
     def test_scalar_shares_reach_grad(self):
         s = Tensor(np.asarray(2.0), requires_grad=True)
-        ad.sqnorm(ad.smul(s, 3.0)).backward()
+        ad.sqnorm(ad.mul(s, Tensor(3.0))).backward()
         assert float(s.grad) == 36.0
 
 
@@ -341,7 +364,8 @@ class TestLinearity:
         grad_f = analytic_grad(f, x0)
         grad_g = analytic_grad(g, x0)
         combo = analytic_grad(
-            lambda t: ad.add(ad.smul(f(t), alpha), ad.smul(g(t), beta)), x0)
+            lambda t: ad.add(ad.mul(f(t), Tensor(alpha)),
+                             ad.mul(g(t), Tensor(beta))), x0)
         expect = alpha * grad_f + beta * grad_g
         assert np.abs(combo - expect).max() <= 1e-12 * np.abs(expect).max()
 
@@ -443,7 +467,7 @@ class TestFiniteDifferences:
         x[np.abs(x - 1.0) < 2e-2] = 0.25     # and the upper clamp bound
         probe = Tensor(rng.fill_uniform((5, 5, 2), -1.0, 1.0))
         self.check(lambda t: ad.tsum(ad.mul(ad.relu(t), probe)), x)
-        self.check(lambda t: ad.tsum(ad.mul(ad.clamp01(t), probe)), x)
+        self.check(lambda t: ad.tsum(ad.mul(ad.clamp(t, 0.0, 1.0), probe)), x)
 
     def test_three_layer_conv_net(self):
         # the composite case: conv -> relu -> conv -> relu -> conv -> squared l2

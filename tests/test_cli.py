@@ -506,12 +506,12 @@ class TestBench:
         # per image one clean forward; per cell one forward of the attacked
         # image, which the attack hands back as its attacked output
         from shadowstorm import bench
-        from shadowstorm.models import model_identity
+        from shadowstorm.models import IdentityModel
         from shadowstorm.synthdata import load_triplet_dir
 
         class CountingModel:
             name = "counting"
-            inner = model_identity()
+            inner = IdentityModel()
             forwards = 0
 
             def forward(self, image):
@@ -531,7 +531,7 @@ class TestBench:
     def test_failed_clean_forward_fails_each_cell_of_its_image(
             self, dataset_dir, tmp_path):
         from shadowstorm import bench
-        from shadowstorm.models import model_identity
+        from shadowstorm.models import IdentityModel
         from shadowstorm.synthdata import load_triplet_dir
 
         triplets = load_triplet_dir(dataset_dir)
@@ -539,7 +539,7 @@ class TestBench:
 
         class BrokenAnchorModel:
             name = "broken-anchor"
-            inner = model_identity()
+            inner = IdentityModel()
 
             def forward(self, image):
                 if image is broken:
@@ -587,7 +587,7 @@ class TestBench:
         rows next to a numeric failure, or any non-numeric one, exit 1."""
         import numpy as np
         from shadowstorm import bench, cli, metrics
-        from shadowstorm.models import model_identity
+        from shadowstorm.models import IdentityModel
         from shadowstorm.synthdata import load_triplet_dir
 
         triplets = load_triplet_dir(dataset_dir)
@@ -596,7 +596,7 @@ class TestBench:
 
         class BrokenModel:
             name = "broken"
-            inner = model_identity()
+            inner = IdentityModel()
 
             def forward(self, image):  # the clean anchor of each image
                 if any(np.array_equal(image.data, b.data)
@@ -623,10 +623,10 @@ class TestBench:
         # the CSV text stores 9 significant digits of it
         from shadowstorm import bench
         from shadowstorm.attack import equivalent_uniform_budget
-        from shadowstorm.models import model_identity
+        from shadowstorm.models import IdentityModel
         from shadowstorm.synthdata import load_triplet_dir
         triplets = load_triplet_dir(dataset_dir)
-        rows, failures = bench.run_sweep(model_identity(), triplets,
+        rows, failures = bench.run_sweep(IdentityModel(), triplets,
                                          [8 / 255], ["uniform"],
                                          equalize=True, iterations=2)
         assert not failures
@@ -827,12 +827,12 @@ class TestBench:
     def test_sweep_continues_past_failures(self, dataset_dir, tmp_path):
         # a model that blows up on one image must not sink the other cells
         from shadowstorm import bench
-        from shadowstorm.models import model_identity
+        from shadowstorm.models import IdentityModel
         from shadowstorm.synthdata import load_triplet_dir
 
         class FlakyModel:
             name = "flaky"
-            inner = model_identity()
+            inner = IdentityModel()
 
             def forward(self, image):
                 return self.inner.forward(image)

@@ -11,7 +11,7 @@ from shadowstorm.metrics import (EmptyRegionError, check_scorable,
                                  normalized_perturbation_map,
                                  perturbation_norms, psnr, region_mse,
                                  region_psnr, region_ssim, ssim, ssim_map)
-from shadowstorm.models import model_gainmap
+from shadowstorm.models import GainMapModel
 from shadowstorm.rng import Xoshiro256StarStar
 from shadowstorm.synthdata import SynthConfig, gen_triplet
 
@@ -272,7 +272,7 @@ class TestOnAttackOutputs:
                                           width=32), 0)
         eps = 16 / 255
         config = AttackConfig(mode="adaptive", epsilon=eps, iterations=10, seed=3)
-        result = pgd_attack(model_gainmap(), triplet.shadow, config)
+        result = pgd_attack(GainMapModel(), triplet.shadow, config)
         norms = perturbation_norms(result.perturbation, triplet.shadow)
         assert norms.linf_normalized <= eps + 1e-9
 
@@ -283,7 +283,7 @@ class TestOnAttackOutputs:
                                           width=32), 0)
         config = AttackConfig(mode="uniform", epsilon=8 / 255, iterations=10,
                               seed=4)
-        result = pgd_attack(model_gainmap(), triplet.shadow, config)
+        result = pgd_attack(GainMapModel(), triplet.shadow, config)
         nmap = normalized_perturbation_map(result.perturbation, triplet.shadow)
         sel = triplet.mask.data.astype(bool)
         assert nmap[sel].mean() > nmap[~sel].mean()

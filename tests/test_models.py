@@ -10,10 +10,9 @@ from shadowstorm import autodiff as ad
 from shadowstorm import metrics, models
 from shadowstorm.autodiff import Tensor
 from shadowstorm.imagecore import Image
-from shadowstorm.models import (DivergenceError, ParamsError, TapeModel,
-                                TinyCnnModel, load_params, model_gainmap,
-                                model_identity, model_tinycnn,
-                                model_tinycnn_from_params, probe_gradients,
+from shadowstorm.models import (DivergenceError, GainMapModel, IdentityModel,
+                                ParamsError, TapeModel, TinyCnnModel,
+                                load_params, model_tinycnn, probe_gradients,
                                 save_params, train_toy)
 from shadowstorm.rng import Xoshiro256StarStar
 from shadowstorm.synthdata import SynthConfig, gen_triplet
@@ -37,22 +36,22 @@ def probe_grad_check(model, seed, shape=(16, 16, 3)):
 class TestIdentity:
     def test_forward_is_input(self):
         img = Image(np.array([[[0.2], [0.9]]]))
-        assert np.array_equal(model_identity().forward(img).data, img.data)
+        assert np.array_equal(IdentityModel().forward(img).data, img.data)
 
     def test_input_grad_passes_cotangent(self):
         img = random_image(1)
         cot = Xoshiro256StarStar(2).fill_uniform(img.shape, -1.0, 1.0)
-        assert np.array_equal(model_identity().input_grad(img, cot), cot)
+        assert np.array_equal(IdentityModel().input_grad(img, cot), cot)
 
     def test_pullback_passes_cotangent(self):
         img = random_image(1)
         cot = Xoshiro256StarStar(2).fill_uniform(img.shape, -1.0, 1.0)
-        out, pullback = model_identity().vjp(img.data)
+        out, pullback = IdentityModel().vjp(img.data)
         assert np.array_equal(out, img.data)
         assert np.array_equal(pullback(cot), cot)
 
     def test_grad_check(self):
-        report = probe_grad_check(model_identity(), seed=3)
+        report = probe_grad_check(IdentityModel(), seed=3)
         assert report.passed
 
 
@@ -60,13 +59,13 @@ class TestGainMap:
     def test_constant_image_unchanged(self):
         # flat illumination: raw gain < 1 everywhere, clamped up to exactly 1
         img = Image(np.full((12, 12, 3), 0.5))
-        out = model_gainmap().forward(img)
+        out = GainMapModel().forward(img)
         assert np.array_equal(out.data, img.data)
 
     def test_brightens_shadow_region(self):
         cfg = SynthConfig(seed=5, count=1, height=32, width=32)
         triplet = gen_triplet(cfg, 0)
-        out = model_gainmap().forward(triplet.shadow)
+        out = GainMapModel().forward(triplet.shadow)
         shadow_sel = triplet.mask.data.astype(bool)
         before = triplet.shadow.data[shadow_sel].mean()
         after = out.data[shadow_sel].mean()
@@ -74,18 +73,18 @@ class TestGainMap:
 
     def test_never_darkens(self):
         img = random_image(6, lo=0.05, hi=0.95)
-        out = model_gainmap().forward(img)
+        out = GainMapModel().forward(img)
         assert np.all(out.data >= img.data - 1e-15)
 
     def test_grad_check(self):
         for seed in (7, 8, 9):
-            assert probe_grad_check(model_gainmap(), seed).passed
+            assert probe_grad_check(GainMapModel(), seed).passed
 
     def test_invalid_args(self):
         with pytest.raises(ValueError, match="blur_radius"):
-            model_gainmap(blur_radius=0)
+            GainMapModel(blur_radius=0)
         with pytest.raises(ValueError, match="max_gain"):
-            model_gainmap(max_gain=1.0)
+            GainMapModel(max_gain=1.0)
 
 
 class TestTinyCnn:
@@ -121,8 +120,8 @@ class TestTinyCnn:
         # and identity take any count
         assert TinyCnnModel.channels == dict(TinyCnnModel.LAYOUT)["k1"][2] == 3
         assert model_tinycnn(seed=1).channels == 3
-        assert model_gainmap().channels is None
-        assert model_identity().channels is None
+        assert GainMapModel().channels is None
+        assert IdentityModel().channels is None
 
     def test_conv_kernels_have_several_channels_each_way(self):
         # Cout = 1 (or Cin = 1 in the input VJP) sends conv2d down
@@ -138,8 +137,7 @@ class TestTinyCnn:
 class TestDirectionalDerivatives:
     """The vjp pullback against finite differences of directional probes."""
 
-    @pytest.mark.parametrize("maker", [model_identity,
-                                       model_gainmap,
+    @pytest.mark.parametrize("maker", [IdentityModel, GainMapModel,
                                        lambda: model_tinycnn(seed=42)])
     def test_vjp_matches_fd_directional(self, maker):
         model = maker()
@@ -162,7 +160,7 @@ class TestDirectionalDerivatives:
 
 
 class TestVjp:
-    @pytest.mark.parametrize("maker", [model_identity, model_gainmap,
+    @pytest.mark.parametrize("maker", [IdentityModel, GainMapModel,
                                        lambda: model_tinycnn(seed=42)],
                              ids=["identity", "gainmap", "tinycnn"])
     def test_output_equals_forward_bytes(self, maker):
@@ -188,11 +186,11 @@ class TestVjp:
                     x._accumulate(g)
                 bottom = Tensor(x.data, requires_grad=True, _parents=(x,),
                                 _backward=bottom_rule)
-                doubled = ad.smul(bottom, 2.0)
+                doubled = ad.mul(bottom, Tensor(2.0))
                 Probe.above = weakref.ref(doubled)
                 mid = ad.relu(doubled)
                 Probe.hidden = weakref.ref(mid)
-                return ad.clamp01(ad.smul(mid, 0.5))
+                return ad.clamp(ad.mul(mid, Tensor(0.5)), 0.0, 1.0)
 
         img = random_image(41, shape=(8, 8, 3))
         gc.disable()
@@ -218,7 +216,7 @@ class TestVjp:
             gc.enable()
 
     def test_pullback_runs_once(self):
-        _, pullback = model_gainmap().vjp(random_image(42).data)
+        _, pullback = GainMapModel().vjp(random_image(42).data)
         pullback(np.ones((16, 16, 3)))
         with pytest.raises(RuntimeError, match="twice"):
             pullback(np.ones((16, 16, 3)))
@@ -249,7 +247,7 @@ class TestVjp:
         assert seen == [True]
         # the walk from the output node itself gives the same bytes
         leaf = Tensor(img.data, requires_grad=True)
-        model_gainmap().forward_t(leaf, {}).backward(np.ones(img.shape))
+        GainMapModel().forward_t(leaf, {}).backward(np.ones(img.shape))
         assert grad.tobytes() == leaf.grad.tobytes()
 
     def test_train_freezes_params_again(self):
@@ -275,7 +273,7 @@ class TestParameterState:
         assert model.params["b1"].data[0] != 9.0
         assert not model.params["b1"].data.flags.writeable
 
-    @pytest.mark.parametrize("make", [model_identity, model_gainmap,
+    @pytest.mark.parametrize("make", [IdentityModel, GainMapModel,
                                       model_tinycnn])
     def test_model_arrays_read_only(self, make):
         """bench --jobs N threads share a model: none of its arrays, and
@@ -308,7 +306,7 @@ def tape_of(out):
 
 
 class TestTape:
-    @pytest.mark.parametrize("make", [model_tinycnn, model_gainmap],
+    @pytest.mark.parametrize("make", [model_tinycnn, GainMapModel],
                              ids=["tinycnn", "gainmap"])
     def test_links_only_tensors_that_need_a_gradient(self, make):
         model = make()
@@ -421,9 +419,9 @@ def train_full_batch(model, dataset, epochs, lr):
         for shadow, free in dataset:
             pred = model.forward_t(Tensor(shadow.data), leaves)
             err = ad.sub(pred, Tensor(free.data))
-            term = ad.smul(ad.sqnorm(err), 1.0 / n_values)
+            term = ad.mul(ad.sqnorm(err), Tensor(1.0 / n_values))
             loss = term if loss is None else ad.add(loss, term)
-        loss = ad.smul(loss, 1.0 / len(dataset))
+        loss = ad.mul(loss, Tensor(1.0 / len(dataset)))
         losses.append(float(loss.data))
         loss.backward()
         model.load_state({name: leaf.data - lr * leaf.grad
@@ -599,7 +597,7 @@ class TestParamsIO:
         model = model_tinycnn(seed=8)
         path = tmp_path / "m.sspm"
         save_params(param_arrays(model), path)
-        clone = model_tinycnn_from_params(load_params(path))
+        clone = TinyCnnModel(load_params(path))
         img = random_image(30)
         assert np.array_equal(model.forward(img).data, clone.forward(img).data)
 
@@ -634,7 +632,7 @@ class TestParamsIO:
         def no_draw(self, shape):
             raise AssertionError("drew from the generator")
         monkeypatch.setattr(Xoshiro256StarStar, "fill", no_draw)
-        clone = model_tinycnn_from_params(params)
+        clone = TinyCnnModel(params)
         assert clone.name == "tinycnn(seed=0)"
         assert all(np.array_equal(clone.params[name].data, arr)
                    for name, arr in params.items())
@@ -642,10 +640,10 @@ class TestParamsIO:
     def test_unknown_tensor_rejected(self):
         params = {**param_arrays(model_tinycnn(seed=1)), "k4": np.zeros(1)}
         with pytest.raises(ParamsError, match="unknown.*'k4'"):
-            model_tinycnn_from_params(params)
+            TinyCnnModel(params)
 
     def test_wrong_shape_rejected(self):
         params = param_arrays(model_tinycnn(seed=1))
         params["k1"] = params["k1"][:, :, :, :4]
         with pytest.raises(ParamsError, match="k1"):
-            model_tinycnn_from_params(params)
+            TinyCnnModel(params)
