@@ -169,15 +169,23 @@ class TestLoadTripletDir:
     def test_empty_dir_returns_empty(self, tmp_path):
         assert load_triplet_dir(tmp_path) == []
 
-    @pytest.mark.parametrize("member,channels", [(2, 3), (1, 1)],
-                             ids=["free", "mask"])
-    def test_shape_mismatch_names_index(self, tmp_path, member, channels):
+    def test_shape_mismatch_names_index(self, tmp_path):
         from shadowstorm.imagecore import save_pnm
         from shadowstorm.imagecore import Image
         cfg = SynthConfig(seed=15, count=1)
         gen_dataset(cfg, tmp_path)
-        save_pnm(Image(np.zeros((8, 8, channels))),
-                 triplet_paths(tmp_path, 0)[member])
+        free_path = triplet_paths(tmp_path, 0)[2]
+        save_pnm(Image(np.zeros((8, 8, 3))), free_path)
+        with pytest.raises(TripletDirError, match="0000.*shapes"):
+            load_triplet_dir(tmp_path)
+
+    def test_mask_shape_mismatch_names_index(self, tmp_path):
+        from shadowstorm.imagecore import save_pnm
+        from shadowstorm.imagecore import Image
+        cfg = SynthConfig(seed=15, count=1)
+        gen_dataset(cfg, tmp_path)
+        mask_path = triplet_paths(tmp_path, 0)[1]
+        save_pnm(Image(np.zeros((8, 8, 1))), mask_path)
         with pytest.raises(TripletDirError, match="0000.*shapes"):
             load_triplet_dir(tmp_path)
 
