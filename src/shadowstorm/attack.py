@@ -16,7 +16,7 @@ Every budget passes :func:`check_budget`, so every radius and step is a
 normal float and every coordinate of the box has room to move.
 
 The loop runs on arrays, through the model's array-level ``vjp``; ``Image``s
-are built only outside it. The perturbation is a read-only array.
+are built only outside it. Every iterate is a read-only array.
 """
 
 from __future__ import annotations
@@ -154,8 +154,11 @@ def pgd_attack(model: DiffModel, image: Image, config: AttackConfig,
     input, takes an ascent step of sign(gradient) scaled by the step size,
     and projects back onto the budget box. sign(0) = 0, so coordinates with
     exactly zero gradient do not move. `on_iteration`, when given, is called
-    with (iteration, delta) after every projection; test harnesses use it to
-    audit the per-iteration constraint.
+    with (iteration, read-only delta) after every projection; test harnesses
+    use it to audit the per-iteration constraint. Once a step returns the
+    bits of the delta before it, or of the one before that with at most
+    1/16 of the coordinates moved, the run repeats that cycle (``vjp`` is
+    pure), so the loop repeats it with no further model pass.
     """
     box = budget_box(image, config)
     delta = init_delta(box, config.seed)  # read-only; only ever rebound
@@ -164,26 +167,48 @@ def pgd_attack(model: DiffModel, image: Image, config: AttackConfig,
     step = _radius(image, config) / STEP_DIVISOR
 
     trace: list[float] = []
+    cycle: tuple[np.ndarray, ...] = ()  # the iterates delta repeats, if any
+    idx = was = np.empty(0, np.intp)  # what the last step moved, if few
     for t in range(config.iterations):
-        out, pullback = model.vjp(np.clip(image.data + delta, 0.0, 1.0))
-        value, cotangent = attack_objective(anchor.data, out)
-        del out  # read only by the objective; freed before the pullback
-        if not np.isfinite(value):
-            raise NonFiniteGradientError(
-                f"non-finite objective at iteration {t} of {config.mode} "
-                f"attack (eps={config.epsilon:g})")
-        trace.append(value)
-        grad = pullback(cotangent)
-        if not np.all(np.isfinite(grad)):
-            raise NonFiniteGradientError(
-                f"non-finite gradient at iteration {t} of {config.mode} "
-                f"attack (eps={config.epsilon:g})")
-        delta = np.clip(delta + step * np.sign(grad), box.lower, box.upper)
-        del pullback, cotangent, grad  # only delta outlives iteration t
+        if cycle:  # delta repeats: the rest of the run needs no model pass
+            cycle = cycle[1:] + cycle[:1]
+            delta = cycle[0]
+            trace.append(trace[-len(cycle)])
+        else:
+            out, pullback = model.vjp(np.clip(image.data + delta, 0.0, 1.0))
+            value, cotangent = attack_objective(anchor.data, out)
+            del out  # read only by the objective; freed before the pullback
+            if not np.isfinite(value):
+                raise NonFiniteGradientError(
+                    f"non-finite objective at iteration {t} of {config.mode} "
+                    f"attack (eps={config.epsilon:g})")
+            trace.append(value)
+            grad = pullback(cotangent)
+            if not np.all(np.isfinite(grad)):
+                raise NonFiniteGradientError(
+                    f"non-finite gradient at iteration {t} of {config.mode} "
+                    f"attack (eps={config.epsilon:g})")
+            stepped = np.clip(delta + step * np.sign(grad), box.lower,
+                              box.upper)
+            del pullback, cotangent, grad  # only delta outlives iteration t
+            stepped.flags.writeable = False
+            old = delta.reshape(-1).view(np.uint64)  # bits: -0.0 != +0.0
+            new = stepped.reshape(-1).view(np.uint64)
+            differs = old != new
+            count = np.count_nonzero(differs)
+            if count == 0:
+                cycle = (stepped,)
+            elif count == idx.size and np.array_equal(new[idx], was):
+                cycle = (stepped, delta)  # this step undid the last one
+            few = 16 * count <= old.size  # a full record costs two arrays
+            idx = np.flatnonzero(differs) if few else np.empty(0, np.intp)
+            was = old[idx]
+            del old, new, differs  # old views the delta being replaced
+            delta = stepped
         if on_iteration is not None:
             on_iteration(t, delta)
+    del cycle, idx, was  # only the final delta outlives the loop
 
-    delta.flags.writeable = False
     attacked = Image(np.clip(image.data + delta, 0.0, 1.0))
     return AttackResult(
         perturbation=delta,

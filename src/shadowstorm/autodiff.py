@@ -292,11 +292,12 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Tensor) -> Tensor:
     Forward and input VJP take one matrix product per tap with one block
     (see _shift_add). Their bits match a product per tap window only while
     BLAS rounds a Cin-long (Cout-long in the input VJP) dot product the
-    same wherever its row sits in the block; OpenBLAS's SkylakeX core does
-    for the zoo's layers, but a single output column (Cout = 1, or Cin = 1
-    in the input VJP) takes its matrix-vector kernel, which rounds the
-    block's last rows mod 4 rows differently. The bias is added after
-    every tap.
+    same wherever its row sits in the block. That premise holds only on
+    some OpenBLAS cores and shapes: SkylakeX and Sandybridge keep it for the
+    zoo's layers, Haswell, Katmai and Nehalem do not, and even on SkylakeX
+    a single output column (Cout = 1, or Cin = 1 in the input VJP) with
+    kw > 1 takes the matrix-vector kernel, which rounds the block's last
+    rows mod 4 differently. The bias is added after every tap.
     The input VJP takes a C-contiguous copy of the transposed kernel, which
     OpenBLAS's SkylakeX core runs on its small-matrix kernel, with the bits
     of the transposed view except on 1 x 1 inputs (a matrix-vector product;

@@ -50,6 +50,10 @@ class ParamsError(ValueError):
 
 
 class DiffModel(Protocol):
+    """The capability pair above. ``vjp`` must be a pure function of its
+    input's bits, keeping no state that depends on the call count: the
+    attack's exit on a repeat, ``--jobs`` and the anchor rely on it."""
+
     name: str
 
     def forward(self, image: Image) -> Image: ...

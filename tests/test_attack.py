@@ -7,7 +7,8 @@ import pytest
 
 from shadowstorm import attack
 from shadowstorm.attack import (STEP_DIVISOR, AttackConfig, BudgetBox,
-                                NonFiniteGradientError, _radius, budget_box,
+                                NonFiniteGradientError, _radius,
+                                attack_objective, budget_box,
                                 equivalent_uniform_budget, init_delta,
                                 pgd_attack, verify_l1_bound)
 from shadowstorm.imagecore import INTENSITY_FLOOR, Image
@@ -372,6 +373,148 @@ class TestPgdConstraints:
             == model.forward(img).data.tobytes()
         assert result.attacked_output.data.tobytes() \
             == model.forward(result.attacked_image).data.tobytes()
+
+
+def reference_pgd(model, image, config):
+    """pgd_attack's loop with no exit: one model pass per iteration.
+    Returns the trace, every (t, delta bytes) after a projection, and the
+    final perturbation, attacked image and attacked output."""
+    box = budget_box(image, config)
+    delta = init_delta(box, config.seed)
+    anchor = model.forward(image)
+    step = _radius(image, config) / STEP_DIVISOR
+    trace, seen = [], []
+    for t in range(config.iterations):
+        out, pullback = model.vjp(np.clip(image.data + delta, 0.0, 1.0))
+        value, cotangent = attack_objective(anchor.data, out)
+        trace.append(value)
+        delta = np.clip(delta + step * np.sign(pullback(cotangent)),
+                        box.lower, box.upper)
+        seen.append((t, delta.tobytes()))
+    attacked = Image(np.clip(image.data + delta, 0.0, 1.0))
+    return trace, seen, delta, attacked, model.forward(attacked)
+
+
+def first_repeat(seen):
+    """(u, p): the first iterate delta_u with the bits of delta_{u-p}, for
+    p = 1 or 2 and u - p >= 1 (seen[t] holds delta_{t+1}); None if none."""
+    for u in range(2, len(seen) + 1):
+        for p in (1, 2):
+            if u - p >= 1 and seen[u - 1][1] == seen[u - 1 - p][1]:
+                return u, p
+    return None
+
+
+class Counted:
+    """A model wrapper that counts vjp calls."""
+
+    def __init__(self, model):
+        self.model, self.name, self.passes = model, model.name, 0
+
+    def forward(self, image):
+        return self.model.forward(image)
+
+    def vjp(self, x):
+        self.passes += 1
+        return self.model.vjp(x)
+
+
+class Repel:
+    """A pure model whose pullback returns -cotangent: every coordinate
+    steps towards 0 and then swings around it."""
+
+    name = "repel"
+
+    def forward(self, image):
+        return image
+
+    def vjp(self, x):
+        return x, lambda cotangent: -cotangent
+
+
+def shadow_image(seed):
+    return gen_triplet(SynthConfig(seed=seed, count=1, height=32, width=32),
+                       0).shadow
+
+
+class TestRepeatExit:
+    # pgd_attack stops its model passes once the iterate repeats; a loop
+    # with no exit is the oracle for every byte it hands out
+    def assert_matches_reference(self, model, image, config):
+        seen = []
+        counted = Counted(model)
+        result = pgd_attack(counted, image, config, on_iteration=lambda t, d:
+                            seen.append((t, d.tobytes())))
+        trace, ref_seen, delta, attacked, output = reference_pgd(
+            model, image, config)
+        assert np.array(result.objective_trace).tobytes() \
+            == np.array(trace).tobytes()
+        assert seen == ref_seen
+        assert result.perturbation.tobytes() == delta.tobytes()
+        assert result.attacked_image.data.tobytes() == attacked.data.tobytes()
+        assert result.attacked_output.data.tobytes() == output.data.tobytes()
+        return counted.passes, ref_seen
+
+    @pytest.mark.parametrize("make, seed, mode, budget, iterations, period", [
+        (GainMapModel, 0, "adaptive", 8, 20, 1),
+        (GainMapModel, 33, "uniform", 4, 20, 2),
+        (GainMapModel, 33, "uniform", 16, 10, None),
+        (lambda: model_tinycnn(seed=0), 0, "adaptive", 4, 20, 1),
+        (lambda: model_tinycnn(seed=0), 3, "uniform", 4, 20, 2),
+        (lambda: model_tinycnn(seed=0), 20, "uniform", 16, 20, None),
+    ], ids=["gainmap-fixed", "gainmap-2cycle", "gainmap-none",
+            "tinycnn-fixed", "tinycnn-2cycle", "tinycnn-none"])
+    def test_matches_loop_without_exit(self, make, seed, mode, budget,
+                                       iterations, period):
+        config = AttackConfig(mode=mode, epsilon=budget / 255,
+                              iterations=iterations)
+        passes, seen = self.assert_matches_reference(
+            make(), shadow_image(seed), config)
+        repeat = first_repeat(seen)
+        if period is None:
+            assert repeat is None
+            assert passes == iterations
+        else:
+            # delta_u repeats: iterations 0 .. u-1 ran the model
+            assert repeat[1] == period
+            assert passes == repeat[0] < iterations
+
+    def test_black_image_keeps_negative_zero(self):
+        # the uniform box's lower face is -0.0 on a black pixel, so iterates
+        # equal in value can differ in bits
+        image = Image(np.zeros((8, 8, 3)))
+        config = AttackConfig(mode="uniform", epsilon=8 / 255)
+        passes, seen = self.assert_matches_reference(GainMapModel(), image,
+                                                     config)
+        final = np.frombuffer(seen[-1][1])
+        assert np.any(np.signbit(final) & (final == 0.0))
+        assert passes < config.iterations
+
+    def test_wide_2_cycle_runs_every_pass(self):
+        # every coordinate swings around 0: a 2-cycle too wide to record
+        image = interior_image(25)
+        config = AttackConfig(mode="uniform", epsilon=0.1, iterations=20,
+                              seed=4)
+        passes, seen = self.assert_matches_reference(Repel(), image, config)
+        u, p = first_repeat(seen)
+        moved = np.frombuffer(seen[u - 1][1]) != np.frombuffer(seen[u - 2][1])
+        assert p == 2 and np.count_nonzero(moved) > moved.size / 16
+        assert passes == config.iterations
+
+    def test_every_iterate_is_read_only(self):
+        refused = []
+
+        def scribble(t, delta):
+            with pytest.raises(ValueError, match="read-only"):
+                delta[0, 0, 0] = 0.5
+            refused.append(t)
+
+        counted = Counted(GainMapModel())
+        result = pgd_attack(counted, shadow_image(0), AttackConfig(
+            mode="adaptive", epsilon=8 / 255), on_iteration=scribble)
+        assert refused == list(range(20))
+        assert counted.passes < 20
+        assert not result.perturbation.flags.writeable
 
 
 class TestBudgetEquivalence:
