@@ -13,7 +13,6 @@ break the byte-for-byte determinism the CSV promises.
 
 from __future__ import annotations
 
-import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields
 
@@ -60,15 +59,9 @@ _METRIC_COLUMNS = RESULT_COLUMNS[4:16]
 
 
 def fmt_value(value) -> str:
-    """Deterministic text form: 'inf'/'nan' markers, shortest float repr."""
-    if isinstance(value, int):
-        return str(value)
-    v = float(value)
-    if math.isinf(v):
-        return "inf" if v > 0 else "-inf"
-    if math.isnan(v):
-        return "nan"
-    return repr(v)
+    """Deterministic text form: an int as is, else the shortest float repr,
+    which prints 'inf', '-inf' and 'nan' (for a NaN of either sign)."""
+    return str(value) if isinstance(value, int) else repr(float(value))
 
 
 def fmt_epsilon(value: float) -> str:

@@ -9,12 +9,17 @@ Each flag's rule is its argparse ``type`` (:func:`at_least`,
 :func:`positive`, :func:`parse_budget`, :func:`parse_budgets`,
 :func:`parse_modes`, :func:`parse_size`), so a bad flag, like an
 abbreviated or retired one, exits 2 while the arguments are parsed, before
-any file is read. An output whose directory does not exist exits 2 before
-any input is read. Each input image is checked once, by
-:func:`metrics.check_scorable`, before the model loads, and against the
-channel count the loaded model takes before any attack. Under ``bench
---equalize`` each image's equalized uniform budgets pass
-:func:`attack.check_budget` before the model loads, too.
+any file is read. One rule covers every output, in
+:func:`_check_outputs`: an output whose directory does not exist, or that
+is the same file as another output, exits 2 before any input is read, and
+an output that is the same file as an input the command reads (the image,
+mask, free image or parameter file of ``attack``; every triplet file and
+``bench``'s parameter file) exits 2 once that input is known, before
+any attack or training. Each input image is checked once, by
+:func:`_check_image`, before the model loads, and against the channel
+count the loaded model takes before any attack. Under ``bench --equalize``
+each image's equalized uniform budgets pass :func:`attack.check_budget`
+before the model loads, too.
 """
 
 from __future__ import annotations
@@ -29,8 +34,8 @@ import numpy as np
 from . import autodiff, bench, metrics
 from .attack import (MODE_UNIFORM, MODES, AttackConfig, check_budget,
                      equivalent_uniform_budget, pgd_attack)
-from .imagecore import (Image, PnmError, ShadowMask, load_mask, load_pnm,
-                        save_pnm, write_atomic)
+from .imagecore import (Image, PnmError, load_mask, load_pnm, save_pnm,
+                        write_atomic)
 from .models import (GainMapModel, IdentityModel, ParamsError, TinyCnnModel,
                      load_params, model_tinycnn, probe_gradients, save_params,
                      train_toy)
@@ -136,20 +141,17 @@ def load_model(identifier: str):
                      f"{tuple(ZOO)} or a parameter file")
 
 
-def _check_scorable(image: Image, mask: ShadowMask | None, what: str) -> None:
-    """Usage error, naming `what`, unless every score of a result row can
-    be computed on `image` (and `mask`): checked before any attack."""
+def _check_image(image: Image, mask, what: str, equalized=()) -> None:
+    """Usage error (exit 2), naming `what`, unless every score of a result
+    row can be computed on `image` (and `mask`) and each budget in
+    `equalized` has an equalized uniform budget on `image` that passes
+    check_budget (naming the budget): checked before the model loads. An
+    all-black image equalizes every budget to 0."""
     try:
         metrics.check_scorable(image, mask)
     except ValueError as exc:
         raise UsageError(f"{what}: {exc}") from None
-
-
-def _check_equalized(image: Image, budgets, what: str) -> None:
-    """ValueError (exit 2), naming `what` and the budget, unless every
-    budget's equalized uniform budget on `image` passes check_budget,
-    checked before any attack. An all-black image equalizes all to 0."""
-    for eps in budgets:
+    for eps in equalized:
         check_budget(equivalent_uniform_budget(image, eps),
                      f"{what}: equalized uniform budget of "
                      f"{bench.fmt_epsilon(eps)}")
@@ -168,25 +170,34 @@ def _check_channels(model, identifier: str, images) -> None:
                              f"{image.channels}")
 
 
-def _shadow_files(directory: str, triplets):
-    """(shadow file path, shadow image) of each loaded triplet."""
-    return ((triplet_paths(directory, index)[0], triplet.shadow)
-            for index, triplet in triplets)
+def _load_dataset(directory: str):
+    """The (index, Triplet) pairs in `directory`, each one's (shadow file,
+    shadow image) pair, and every file they were read from as a
+    ("--dataset", path) input: usage error when there is no triplet."""
+    triplets = load_triplet_dir(directory)
+    if not triplets:
+        raise UsageError(f"no triplets in {directory}")
+    files = [triplet_paths(directory, index) for index, _ in triplets]
+    shadows = [(paths[0], t.shadow) for paths, (_, t) in zip(files, triplets)]
+    return triplets, shadows, [("--dataset", p) for ps in files for p in ps]
 
 
-def _check_dir(flag: str, path: str) -> None:
-    """Usage error, naming `flag`, when the directory that `path` is
-    written into does not exist: the write would fail after all the work."""
-    folder = os.path.dirname(path) or os.curdir
-    if not os.path.isdir(folder):
-        raise UsageError(f"{flag} {path}: no directory {folder}")
-
-
-def _check_distinct(out: str, other: str, what: str) -> None:
-    """Usage error when `other` is the same file as --out `out`: the
-    command's later write would replace the earlier one."""
-    if os.path.realpath(out) == os.path.realpath(other):
-        raise UsageError(f"--out {out} and {what} {other} are the same file")
+def _check_outputs(outputs, inputs=()) -> None:
+    """Usage error, naming the flags, when the directory an output is
+    written into does not exist, or when an output is the same file as an
+    earlier output or as an input: the write would fail after all the
+    work, or replace a file the command wrote or reads. `outputs` and
+    `inputs` hold (flag, path) pairs; an input with no path is not
+    given."""
+    seen = {os.path.realpath(p): (flag, p) for flag, p in inputs if p}
+    for flag, path in outputs:
+        folder = os.path.dirname(path) or os.curdir
+        if not os.path.isdir(folder):
+            raise UsageError(f"{flag} {path}: no directory {folder}")
+        other = seen.setdefault(os.path.realpath(path), (flag, path))
+        if other != (flag, path):
+            raise UsageError(f"{flag} {path} and {' '.join(other)} are the "
+                             "same file")
 
 
 def _stretched(arr: np.ndarray) -> tuple[Image, float]:
@@ -205,12 +216,18 @@ def cmd_gen(args) -> int:
 
 
 def cmd_attack(args) -> int:
-    _check_dir("--out-prefix", args.out_prefix)
+    _check_outputs([("--out-prefix", args.out_prefix)])
     image = load_pnm(args.image)
     mask = load_mask(args.mask) if args.mask else None
     free = load_pnm(args.free) if args.free else None
-    _check_scorable(image, mask, args.image
-                    + (f" with mask {args.mask}" if args.mask else ""))
+    ext = "pgm" if image.channels == 1 else "ppm"
+    paths = [args.out_prefix + end for end in (
+        f"_attacked.{ext}", f"_delta_viz.{ext}", f"_normmap.{ext}", ".csv")]
+    _check_outputs([("--out-prefix", path) for path in paths], [
+        ("--image", args.image), ("--mask", args.mask), ("--free", args.free),
+        ("--model", None if args.model in ZOO else args.model)])
+    _check_image(image, mask, args.image
+                 + (f" with mask {args.mask}" if args.mask else ""))
     if free is not None and free.shape != image.shape:
         raise UsageError(f"--free image has shape {free.shape}, "
                          f"image has {image.shape}")
@@ -230,32 +247,28 @@ def cmd_attack(args) -> int:
         f"# delta_viz_stretch {bench.fmt_value(delta_stretch)}",
         f"# normmap_stretch {bench.fmt_value(norm_stretch)}"))
 
-    prefix = args.out_prefix
-    ext = "pgm" if image.channels == 1 else "ppm"
-    save_pnm(result.attacked_image, f"{prefix}_attacked.{ext}")
-    save_pnm(delta_viz, f"{prefix}_delta_viz.{ext}")
-    save_pnm(norm_viz, f"{prefix}_normmap.{ext}")
-    write_atomic(f"{prefix}.csv", table)
+    save_pnm(result.attacked_image, paths[0])
+    save_pnm(delta_viz, paths[1])
+    save_pnm(norm_viz, paths[2])
+    write_atomic(paths[3], table)
     print(f"attacked {args.image}: objective "
-          f"{result.objective_trace[-1]:.6g}, wrote {prefix}.csv")
+          f"{result.objective_trace[-1]:.6g}, wrote {paths[3]}")
     return EXIT_OK
 
 
 def cmd_bench(args) -> int:
     plot_path = args.plot_out or os.path.splitext(args.out)[0] + ".plot"
-    _check_dir("--out", args.out)
-    _check_dir("--plot-out", plot_path)
-    _check_distinct(args.out, plot_path, "plot data")
-    triplets = load_triplet_dir(args.dataset)
-    if not triplets:
-        raise UsageError(f"no triplets in {args.dataset}")
+    outputs = [("--out", args.out), ("--plot-out", plot_path)]
+    _check_outputs(outputs)
+    triplets, shadows, inputs = _load_dataset(args.dataset)
+    _check_outputs(outputs, inputs + [
+        ("--model", None if args.model in ZOO else args.model)])
+    uniform = args.equalize and MODE_UNIFORM in args.modes
     for index, triplet in triplets:
-        _check_scorable(triplet.shadow, triplet.mask, f"triplet {index:04d}")
-        if args.equalize and MODE_UNIFORM in args.modes:
-            _check_equalized(triplet.shadow, args.budgets,
-                             f"triplet {index:04d}")
+        _check_image(triplet.shadow, triplet.mask, f"triplet {index:04d}",
+                     args.budgets if uniform else ())
     model = load_model(args.model)
-    _check_channels(model, args.model, _shadow_files(args.dataset, triplets))
+    _check_channels(model, args.model, shadows)
     rows, failures = bench.run_sweep(
         model, triplets, args.budgets, args.modes, equalize=args.equalize,
         iterations=args.iters, seed=args.seed, jobs=args.jobs)
@@ -272,16 +285,12 @@ def cmd_bench(args) -> int:
 
 def cmd_gradcheck(args) -> int:
     names = ZOO if args.model == "all" else (args.model,)
-    worst_name, worst = None, None
-    failures = []
+    failing, failures = [], []
     for mi, name in enumerate(names):
         reports, redrawn = probe_gradients(
             load_model(name), derive_seed(args.seed, mi), args.inputs,
             (*args.size, 3))
-        for report in reports:
-            if not report.passed and (worst is None
-                                      or report.max_rel_error > worst.max_rel_error):
-                worst_name, worst = name, report
+        failing += [(name, report) for report in reports if not report.passed]
         if len(reports) < args.inputs:
             failures.append(f"{name} kept {len(reports)} of {args.inputs} "
                             "probes after redraws")
@@ -289,8 +298,9 @@ def cmd_gradcheck(args) -> int:
         note = f", {redrawn} kink-seated draws redrawn" if redrawn else ""
         print(f"{name}: max relative error {model_worst:.3e} over "
               f"{len(reports)} inputs (tol {autodiff.GRAD_CHECK_TOL:g}){note}")
-    if worst is not None:
-        failures.append(f"{worst_name} gradient mismatch {worst.max_rel_error:.3e} "
+    if failing:
+        name, worst = max(failing, key=lambda pair: pair[1].max_rel_error)
+        failures.append(f"{name} gradient mismatch {worst.max_rel_error:.3e} "
                         f"at coordinate {worst.worst_coord}")
     for failure in failures:
         print(f"FAIL: {failure}", file=sys.stderr)
@@ -299,15 +309,13 @@ def cmd_gradcheck(args) -> int:
 
 def cmd_train(args) -> int:
     log_path = args.loss_log or args.out + ".losslog.csv"
-    _check_dir("--out", args.out)
-    _check_dir("--loss-log", log_path)
-    _check_distinct(args.out, log_path, "loss log")
-    triplets = load_triplet_dir(args.dataset)
-    if not triplets:
-        raise UsageError(f"no triplets in {args.dataset}")
+    outputs = [("--out", args.out), ("--loss-log", log_path)]
+    _check_outputs(outputs)
+    triplets, shadows, inputs = _load_dataset(args.dataset)
+    _check_outputs(outputs, inputs)
     dataset = [(t.shadow, t.shadow_free) for _, t in triplets]
     model = model_tinycnn(seed=args.seed)
-    _check_channels(model, "tinycnn", _shadow_files(args.dataset, triplets))
+    _check_channels(model, "tinycnn", shadows)
     losses: list[float] = []
     params = train_toy(model, dataset, epochs=args.epochs, lr=args.lr,
                        on_epoch=lambda _e, loss: losses.append(loss))
@@ -329,10 +337,10 @@ def build_parser() -> argparse.ArgumentParser:
     def command(name, func, summary):
         p = sub.add_parser(name, help=summary, allow_abbrev=False)
         p.set_defaults(func=func)
+        p.add_argument("--seed", type=int, default=0)
         return p
 
     p = command("gen", cmd_gen, "generate a synthetic triplet dataset")
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--count", type=at_least(1), default=8)
     p.add_argument("--size", type=lambda text: parse_size(text, least=32),
                    default=(64, 64), help="HxW, at least 32x32, e.g. 64x64")
@@ -343,7 +351,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eps", type=parse_budget, required=True,
                    help="budget, e.g. 16/255 or 0.0627")
     p.add_argument("--iters", type=at_least(1), default=AttackConfig.iterations)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--model", default="gainmap")
     p.add_argument("--image", required=True)
     p.add_argument("--mask", default=None)
@@ -360,7 +367,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--equalize", action="store_true",
                    help="per-image uniform budget = eps * mean intensity")
     p.add_argument("--iters", type=at_least(1), default=AttackConfig.iterations)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--jobs", type=at_least(1), default=1)
     p.add_argument("--out", required=True)
     p.add_argument("--plot-out", default=None)
@@ -370,13 +376,11 @@ def build_parser() -> argparse.ArgumentParser:
                    help="all, a zoo name, or a parameter file")
     p.add_argument("--inputs", type=at_least(1), default=3)
     p.add_argument("--size", type=parse_size, default=(16, 16))
-    p.add_argument("--seed", type=int, default=0)
 
     p = command("train", cmd_train, "train the tiny CNN on a triplet dataset")
     p.add_argument("--dataset", required=True)
     p.add_argument("--epochs", type=at_least(0), default=100)
     p.add_argument("--lr", type=positive, default=0.05)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
     p.add_argument("--loss-log", default=None)
 

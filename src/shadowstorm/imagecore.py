@@ -103,6 +103,14 @@ _GAP = re.compile(rb"\s*(?:#[^\n]*)?")
 _TOKEN = re.compile(rb"\S*")
 
 
+def _quote(token: bytes) -> str:
+    """A header token as an error quotes it: at most its first 32 bytes,
+    then its full length, since a token runs to the next whitespace byte,
+    payload included."""
+    head = token[:32]
+    return repr(head) + ("" if head == token else f"... ({len(token)} bytes)")
+
+
 def _read_pnm(path) -> np.ndarray:
     """Read a binary PNM file -> its (height, width, channels) uint8 payload.
     Whitespace and '#' comments may precede each header field (netpbm
@@ -126,12 +134,13 @@ def _read_pnm(path) -> np.ndarray:
         try:
             return int(token)
         except ValueError:
-            raise PnmError(path, f"expected integer {what}, got {token!r}",
-                           start) from None
+            raise PnmError(path, f"expected integer {what}, got "
+                           f"{_quote(token)}", start) from None
 
     magic = field("magic")
     if magic not in (b"P5", b"P6"):
-        raise PnmError(path, f"bad magic {magic!r}, expected P5 or P6", 0)
+        raise PnmError(path, f"bad magic {_quote(magic)}, expected P5 or "
+                       "P6", 0)
     width, height = integer("width"), integer("height")
     if width < 1 or height < 1:
         raise PnmError(path, f"non-positive dimensions {width}x{height}", pos)

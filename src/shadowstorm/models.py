@@ -334,30 +334,29 @@ def load_params(path) -> dict[str, np.ndarray]:
     if version != PARAMS_VERSION:
         raise ParamsError(f"unsupported version {version}")
     pos = 12
+
+    def take(n: int) -> bytes:
+        """The next `n` bytes; struct.error when fewer are left."""
+        nonlocal pos
+        if len(raw) - pos < n:
+            raise struct.error
+        pos += n
+        return raw[pos - n:pos]
+
     out: dict[str, np.ndarray] = {}
     for i in range(count):
         label = f"#{i}"
         try:
-            (name_len,) = struct.unpack_from("<I", raw, pos)
-            pos += 4
-            if len(raw) < pos + name_len:
-                raise struct.error
+            (name_len,) = struct.unpack("<I", take(4))
             try:
-                name = raw[pos:pos + name_len].decode("utf-8")
+                name = take(name_len).decode("utf-8")
             except UnicodeDecodeError:
                 raise ParamsError(
                     f"tensor {label} name is not valid UTF-8") from None
             label = repr(name)
-            pos += name_len
-            (rank,) = struct.unpack_from("<I", raw, pos)
-            pos += 4
-            shape = struct.unpack_from(f"<{rank}I", raw, pos)
-            pos += 4 * rank
-            n_bytes = math.prod(shape) * 8
-            payload = raw[pos:pos + n_bytes]
-            if len(payload) < n_bytes:
-                raise struct.error
-            pos += n_bytes
+            (rank,) = struct.unpack("<I", take(4))
+            shape = struct.unpack(f"<{rank}I", take(4 * rank))
+            payload = take(math.prod(shape) * 8)
         except struct.error:
             raise ParamsError(
                 f"truncated file while reading tensor {label}") from None

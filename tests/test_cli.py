@@ -618,6 +618,12 @@ class TestBench:
             f"{error.__name__}: synthetic breakage") for l in failed)
         assert (tmp_path / "b.plot").exists()
 
+    def test_fmt_value_prints_int_or_shortest_float_repr(self):
+        values = [0.0, -0.0, 1e-300, np.inf, -np.inf, np.copysign(np.nan, -1),
+                  np.float64(0.1), 7]
+        assert [bench.fmt_value(v) for v in values] == [
+            "0.0", "-0.0", "1e-300", "inf", "-inf", "nan", "0.1", "7"]
+
     def test_equalize_effective_epsilon(self, dataset_dir, tmp_path):
         # the row value matches the independent mean recomputation to 1e-12;
         # the CSV text stores 9 significant digits of it
@@ -1169,6 +1175,50 @@ class TestOutputDirectory:
         assert rc == 2
         assert f"{flag} nodir/" in capsys.readouterr().err
         assert os.listdir(tmp_path) == []
+
+
+def file_bytes(root):
+    """Every file under `root`, by relative path, with its bytes."""
+    return {str(path.relative_to(root)): path.read_bytes()
+            for path in root.rglob("*") if path.is_file()}
+
+
+class TestOutputIsNoInput:
+    @pytest.mark.parametrize("argv,error", [
+        (["bench", "--dataset", "data", "--out", "data/free_0000.ppm"],
+         "--out data/free_0000.ppm and --dataset data/free_0000.ppm"),
+        (["bench", "--dataset", "data", "--model", "p.sspm",
+          "--out", "p.sspm"], "--out p.sspm and --model p.sspm"),
+        (["attack", "--mode", "uniform", "--eps", "4/255",
+          "--image", "x_attacked.ppm", "--out-prefix", "x"],
+         "--out-prefix x_attacked.ppm and --image x_attacked.ppm"),
+        (["train", "--dataset", "data", "--out", "q.sspm",
+          "--loss-log", "data/../data/mask_0002.pgm"],
+         "--loss-log data/../data/mask_0002.pgm and --dataset "
+         "data/mask_0002.pgm"),
+        (["bench", "--dataset", "data", "--out", "r.csv",
+          "--plot-out", "r.csv"], "--plot-out r.csv and --out r.csv")],
+        ids=["bench-out-on-triplet", "bench-out-on-model",
+             "attack-out-on-image", "train-loss-log-on-triplet",
+             "bench-plot-out-on-out"])
+    def test_same_file_usage_error_before_any_work(
+            self, dataset_dir, tmp_path, monkeypatch, capsys, argv, error):
+        """An output that is an input, or another output, would replace a
+        file the command reads or wrote: exit 2, every file as it was."""
+        copy_dataset(dataset_dir, tmp_path / "data")
+        save_params(param_arrays(model_tinycnn(seed=6)), tmp_path / "p.sspm")
+        (tmp_path / "x_attacked.ppm").write_bytes(
+            (dataset_dir / "shadow_0000.ppm").read_bytes())
+        before = file_bytes(tmp_path)
+
+        def train_toy(*_args, **_kwargs):
+            pytest.fail("training ran before the outputs were checked")
+        forbid_attack(monkeypatch)
+        monkeypatch.setattr(cli, "train_toy", train_toy)
+        monkeypatch.chdir(tmp_path)
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"error: {error} are the same file\n"
+        assert file_bytes(tmp_path) == before
 
 
 class TestMemoryPolicy:

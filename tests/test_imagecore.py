@@ -75,6 +75,26 @@ class TestLoadPnm:
         assert match in capsys.readouterr().err
         assert os.listdir(tmp_path) == ["h.pgm"]
 
+    @pytest.mark.parametrize("raw,tail", [
+        (b"P6\n256 256\n255" + bytes(256 * 256 * 3),
+         "got b'255" + r"\x00" * 29 + "'... (196611 bytes) (byte offset 10)"),
+        (b"SSPM" + bytes(60) + b"\n", "bad magic b'SSPM" + r"\x00" * 28
+         + "'... (64 bytes), expected P5 or P6 (byte offset 0)")],
+        ids=["maxval-into-payload", "magic"])
+    def test_long_header_token_quoted_in_one_short_line(
+            self, tmp_path, capsys, raw, tail):
+        """A header token runs to the next whitespace byte, payload
+        included: the error quotes at most 32 bytes of it, then its
+        length."""
+        path = tmp_path / "x.ppm"
+        path.write_bytes(raw)
+        rc = main(["attack", "--mode", "uniform", "--eps", "0.1",
+                   "--image", str(path), "--out-prefix", str(tmp_path / "x")])
+        assert rc == 3
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.endswith(tail)
+        assert len(line.encode()) - len(str(path)) < 200
+
     def test_header_comments_accepted(self, tmp_path):
         path = tmp_path / "f.pgm"
         with open(path, "wb") as fh:

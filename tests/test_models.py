@@ -626,6 +626,37 @@ class TestParamsIO:
         with pytest.raises(ParamsError, match=match):
             load_params(path)
 
+    def test_every_prefix_names_the_tensor_it_cuts(self, tmp_path):
+        """Cut before a record's name is read, the error names the record's
+        index; after, its name. A rank of 2**32 - 1 is cut too."""
+        path = tmp_path / "m.sspm"
+        save_params(param_arrays(model_tinycnn(seed=5)), path)
+        blob = path.read_bytes()
+        records, pos = [], 12  # (name end, record end, name) of each
+        while pos < len(blob):
+            (size,) = struct.unpack_from("<I", blob, pos)
+            name_end = pos + 4 + size
+            (rank,) = struct.unpack_from("<I", blob, name_end)
+            shape = struct.unpack_from(f"<{rank}I", blob, name_end + 4)
+            pos = name_end + 4 + 4 * rank + 8 * int(np.prod(shape))
+            records.append((name_end, pos,
+                            blob[name_end - size:name_end].decode()))
+        assert len(records) == 6
+        for cut in range(12, len(blob)):
+            i = next(i for i, (_, end, _) in enumerate(records) if cut < end)
+            name_end, _, name = records[i]
+            path.write_bytes(blob[:cut])
+            with pytest.raises(ParamsError) as info:
+                load_params(path)
+            label = f"#{i}" if cut < name_end else repr(name)
+            assert str(info.value) == (
+                f"truncated file while reading tensor {label}")
+        path.write_bytes(blob[:12] + struct.pack("<I", 2) + b"b1"
+                         + struct.pack("<I", 2**32 - 1) + bytes(64))
+        with pytest.raises(ParamsError,
+                           match="^truncated file while reading tensor 'b1'$"):
+            load_params(path)
+
     def test_model_from_params_draws_nothing(self, monkeypatch):
         params = param_arrays(model_tinycnn(seed=0))
 
