@@ -102,15 +102,20 @@ def _radius(image: Image, config: AttackConfig) -> np.ndarray | float:
     return config.epsilon
 
 
+def _faces(image: Image, radius: np.ndarray | float
+           ) -> tuple[np.ndarray, np.ndarray]:
+    """The box's lower and upper faces for a budget of this radius."""
+    return (np.maximum(-radius, -image.data),
+            np.minimum(radius, 1.0 - image.data))
+
+
 def budget_box(image: Image, config: AttackConfig) -> BudgetBox:
     """Feasible perturbation box for an image under the configured budget.
 
     Both modes intersect the budget interval with [-I, 1 - I] so the
     attacked image stays inside [0, 1].
     """
-    radius, intens = _radius(image, config), image.data
-    return BudgetBox(lower=np.maximum(-radius, -intens),
-                     upper=np.minimum(radius, 1.0 - intens))
+    return BudgetBox(*_faces(image, _radius(image, config)))
 
 
 def init_delta(box: BudgetBox, seed: int) -> np.ndarray:
@@ -159,12 +164,15 @@ def pgd_attack(model: DiffModel, image: Image, config: AttackConfig,
     bits of the delta before it, or of the one before that with at most
     1/16 of the coordinates moved, the run repeats that cycle (``vjp`` is
     pure), so the loop repeats it with no further model pass.
+
+    Across a model pass the loop holds only delta, the anchor, the trace
+    and the cycle record: each projection rebuilds the step and the box
+    faces from `image` and `config`, bit for bit, once the pass's tape is
+    freed, and drops them before the next pass.
     """
-    box = budget_box(image, config)
-    delta = init_delta(box, config.seed)  # read-only; only ever rebound
+    delta = init_delta(budget_box(image, config), config.seed)  # read-only
     if anchor is None:
         anchor = model.forward(image)
-    step = _radius(image, config) / STEP_DIVISOR
 
     trace: list[float] = []
     cycle: tuple[np.ndarray, ...] = ()  # the iterates delta repeats, if any
@@ -184,13 +192,15 @@ def pgd_attack(model: DiffModel, image: Image, config: AttackConfig,
                     f"attack (eps={config.epsilon:g})")
             trace.append(value)
             grad = pullback(cotangent)
+            del pullback, cotangent  # frees the tape before the projection
             if not np.all(np.isfinite(grad)):
                 raise NonFiniteGradientError(
                     f"non-finite gradient at iteration {t} of {config.mode} "
                     f"attack (eps={config.epsilon:g})")
-            stepped = np.clip(delta + step * np.sign(grad), box.lower,
-                              box.upper)
-            del pullback, cotangent, grad  # only delta outlives iteration t
+            radius = _radius(image, config)
+            stepped = np.clip(delta + radius / STEP_DIVISOR * np.sign(grad),
+                              *_faces(image, radius))
+            del grad, radius  # only delta outlives iteration t
             stepped.flags.writeable = False
             old = delta.reshape(-1).view(np.uint64)  # bits: -0.0 != +0.0
             new = stepped.reshape(-1).view(np.uint64)

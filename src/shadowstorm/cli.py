@@ -14,12 +14,13 @@ any file is read. One rule covers every output, in
 is the same file as another output, exits 2 before any input is read, and
 an output that is the same file as an input the command reads (the image,
 mask, free image or parameter file of ``attack``; every triplet file and
-``bench``'s parameter file) exits 2 once that input is known, before
-any attack or training. Each input image is checked once, by
-:func:`_check_image`, before the model loads, and against the channel
-count the loaded model takes before any attack. Under ``bench --equalize``
-each image's equalized uniform budgets pass :func:`attack.check_budget`
-before the model loads, too.
+``bench``'s parameter file), or that ``bench`` or ``train`` would write
+into the dataset directory under a triplet member's name, exits 2 once
+that input is known, before any attack or training. Each input image is
+checked once, by :func:`_check_image`, before the model loads, and against
+the channel count the loaded model takes before any attack. Under
+``bench --equalize`` each image's equalized uniform budgets pass
+:func:`attack.check_budget` before the model loads, too.
 """
 
 from __future__ import annotations
@@ -40,8 +41,8 @@ from .models import (GainMapModel, IdentityModel, ParamsError, TinyCnnModel,
                      load_params, model_tinycnn, probe_gradients, save_params,
                      train_toy)
 from .rng import derive_seed
-from .synthdata import (SynthConfig, TripletDirError, gen_dataset,
-                        load_triplet_dir, triplet_paths)
+from .synthdata import (_TRIPLET_RE, SynthConfig, TripletDirError,
+                        gen_dataset, load_triplet_dir, triplet_paths)
 
 EXIT_OK = 0
 EXIT_PARTIAL = 1
@@ -182,12 +183,14 @@ def _load_dataset(directory: str):
     return triplets, shadows, [("--dataset", p) for ps in files for p in ps]
 
 
-def _check_outputs(outputs, inputs=()) -> None:
+def _check_outputs(outputs, inputs=(), dataset=None) -> None:
     """Usage error, naming the flags, when the directory an output is
-    written into does not exist, or when an output is the same file as an
-    earlier output or as an input: the write would fail after all the
-    work, or replace a file the command wrote or reads. `outputs` and
-    `inputs` hold (flag, path) pairs; an input with no path is not
+    written into does not exist, when an output is the same file as an
+    earlier output or as an input, or when it lands in the `dataset`
+    directory under a name that load_triplet_dir reads as a triplet member:
+    the write would fail after all the work, replace a file the command
+    wrote or reads, or break the dataset for the next command. `outputs`
+    and `inputs` hold (flag, path) pairs; an input with no path is not
     given."""
     seen = {os.path.realpath(p): (flag, p) for flag, p in inputs if p}
     for flag, path in outputs:
@@ -198,6 +201,10 @@ def _check_outputs(outputs, inputs=()) -> None:
         if other != (flag, path):
             raise UsageError(f"{flag} {path} and {' '.join(other)} are the "
                              "same file")
+        if (dataset is not None and _TRIPLET_RE.match(os.path.basename(path))
+                and os.path.realpath(folder) == os.path.realpath(dataset)):
+            raise UsageError(f"{flag} {path}: a triplet file name in "
+                             f"--dataset {dataset}")
 
 
 def _stretched(arr: np.ndarray) -> tuple[Image, float]:
@@ -262,7 +269,7 @@ def cmd_bench(args) -> int:
     _check_outputs(outputs)
     triplets, shadows, inputs = _load_dataset(args.dataset)
     _check_outputs(outputs, inputs + [
-        ("--model", None if args.model in ZOO else args.model)])
+        ("--model", None if args.model in ZOO else args.model)], args.dataset)
     uniform = args.equalize and MODE_UNIFORM in args.modes
     for index, triplet in triplets:
         _check_image(triplet.shadow, triplet.mask, f"triplet {index:04d}",
@@ -312,7 +319,7 @@ def cmd_train(args) -> int:
     outputs = [("--out", args.out), ("--loss-log", log_path)]
     _check_outputs(outputs)
     triplets, shadows, inputs = _load_dataset(args.dataset)
-    _check_outputs(outputs, inputs)
+    _check_outputs(outputs, inputs, args.dataset)
     dataset = [(t.shadow, t.shadow_free) for _, t in triplets]
     model = model_tinycnn(seed=args.seed)
     _check_channels(model, "tinycnn", shadows)

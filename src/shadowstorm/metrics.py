@@ -13,13 +13,20 @@ non-shadow) triples, the whole-image entry equal to the whole-image
 function bit for bit; :func:`region_ssim` scores one image against several
 references, one map each. :func:`check_scorable` tells up front whether an
 image (and mask) can give every one of those scores.
+
+SSIM's bits come from its Gaussian filter, one BLAS matrix-vector call per
+window with the channels as rows (:func:`_filter_valid`). A map built in
+bands of whole rows meets the same calls on the same operand layouts, so
+it has the bits of the whole-image map while holding its statistics for
+one band at a time; stacking the channels or flattening the rows into
+fewer calls would change them.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -31,6 +38,7 @@ SSIM_SIGMA = 1.5
 SSIM_K1 = 0.01
 SSIM_K2 = 0.03
 _SSIM_MARGIN = (SSIM_WINDOW - 1) // 2
+SSIM_BAND = 32  # output rows of an SSIM map built at a time
 
 
 class EmptyRegionError(ValueError):
@@ -119,31 +127,47 @@ _SSIM_TAP = _gaussian_1d()
 
 
 def _filter_valid(a: np.ndarray) -> np.ndarray:
-    """Separable Gaussian filtering of (H, W, C), valid windows only."""
+    """Separable Gaussian filtering of (H, W, C), valid windows only.
+
+    Each pass is one BLAS matrix-vector call per window, the window's
+    (C, 11) samples, channels as rows, times the tap: a value's bits
+    depend on that call and its operand layout alone. Rows of `a`, sliced
+    whole, so give the rows of the whole result bit for bit; stacking the
+    channels or flattening the rows into fewer calls does not."""
     rows = sliding_window_view(a, SSIM_WINDOW, axis=0) @ _SSIM_TAP
     return sliding_window_view(rows, SSIM_WINDOW, axis=1) @ _SSIM_TAP
 
 
-def _ssim_maps(references: Sequence[Image], y: Image) -> Iterator[np.ndarray]:
-    """The ssim_map of each reference against `y`, with the filtered mean
-    and variance of `y` computed once for them all. The checks run at the
-    call; each map is built only when the iterator reaches it, so a caller
-    that is done with one map before it asks for the next holds one at a
-    time."""
+def _ssim_maps(references: Sequence[Image], y: Image,
+               mask: ShadowMask | None = None) -> list[np.ndarray]:
+    """The ssim_map of each reference against `y`, built SSIM_BAND output
+    rows at a time: per band, the filtered mean and variance of `y` over
+    the band's rows and the window margin are computed once for every
+    reference, whose statistics then fill that band of its map. The checks
+    of the pairs, of `y`'s size and of the `mask`, if given, run first."""
     for x in references:
         _check_pair(x, y)
-    check_scorable(y)
-    yd = y.data
-    mu_y = _filter_valid(yd)
-    sig_y = _filter_valid(yd * yd) - mu_y * mu_y
-    return (_ssim_map_of(x.data, yd, mu_y, sig_y) for x in references)
+    check_scorable(y, mask)
+    height, width, channels = y.shape
+    maps = [np.empty((height - 2 * _SSIM_MARGIN, width - 2 * _SSIM_MARGIN,
+                      channels)) for _ in references]
+    for top in range(0, height - 2 * _SSIM_MARGIN, SSIM_BAND):
+        rows = slice(top, top + SSIM_BAND + SSIM_WINDOW - 1)
+        yb = y.data[rows]
+        mu_y = _filter_valid(yb)
+        sig_y = _filter_valid(yb * yb) - mu_y * mu_y
+        for x, smap in zip(references, maps):
+            smap[top:top + SSIM_BAND] = _ssim_map_of(x.data[rows], yb, mu_y,
+                                                     sig_y)
+    return maps
 
 
 def _ssim_map_of(xd: np.ndarray, yd: np.ndarray, mu_y: np.ndarray,
                  sig_y: np.ndarray) -> np.ndarray:
-    """One SSIM map from `y`'s filtered statistics. The covariance is
-    released once the numerator has read it, the other statistics of `x`
-    on return, and the denominator divides the numerator in place."""
+    """One SSIM map (or band of one) from `y`'s filtered statistics. The
+    covariance is released once the numerator has read it, the other
+    statistics of `x` on return, and the denominator divides the numerator
+    in place."""
     c1, c2 = SSIM_K1 ** 2, SSIM_K2 ** 2
     mu_x = _filter_valid(xd)
     sig_x = _filter_valid(xd * xd) - mu_x * mu_x
@@ -157,7 +181,7 @@ def _ssim_map_of(xd: np.ndarray, yd: np.ndarray, mu_y: np.ndarray,
 
 def ssim_map(x: Image, y: Image) -> np.ndarray:
     """Dense per-pixel SSIM of valid windows: (H-10, W-10, C)."""
-    return next(_ssim_maps([x], y))
+    return _ssim_maps([x], y)[0]
 
 
 def ssim(x: Image, y: Image) -> float:
@@ -168,16 +192,13 @@ def ssim(x: Image, y: Image) -> float:
 def region_ssim(references: Sequence[Image], y: Image, mask: ShadowMask
                 ) -> list[tuple[float, float, float]]:
     """SSIM of `y` against each reference over all, shadow and non-shadow
-    window centers. Each map is reduced to its three region means before
-    the next one is built, so one map is alive at a time."""
-    maps = _ssim_maps(references, y)
+    window centers. Every check runs before any map is built; the maps
+    are built band by band and reduced to their region means at the
+    end."""
+    maps = _ssim_maps(references, y, mask)
     centers = _regions(mask, y.shape[:2], _SSIM_MARGIN)
-
-    def region_means(smap: np.ndarray) -> tuple[float, float, float]:
-        return tuple(float(np.mean(smap[select])) for select in centers)
-    # map() drops each map before it asks for the next; a comprehension's
-    # loop variable would hold it while the next one is built
-    return list(map(region_means, maps))
+    return [tuple(float(np.mean(smap[select])) for select in centers)
+            for smap in maps]
 
 
 @dataclass(frozen=True)
